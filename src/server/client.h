@@ -109,8 +109,8 @@ class CorrobClient {
   /// Fetches the daemon's live-introspection JSON (schema
   /// corrob.introspect/1): active requests, the flight-recorder ring,
   /// per-tenant aggregates, latency histograms, watchdog counters and
-  /// the full metrics dump. A typed error frame (e.g. a daemon too
-  /// old for the v3 introspect codec) becomes a Status with the
+  /// the full metrics dump. A typed error frame (e.g. a daemon built
+  /// with another protocol version) becomes a Status with the
   /// daemon's code.
   [[nodiscard]] Result<std::string> Introspect(
       const IntrospectRequest& request, const StopSignal& stop);

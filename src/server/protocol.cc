@@ -4,6 +4,7 @@
 #include <bit>
 #include <cstring>
 
+#include "common/logging.h"
 #include "common/string_util.h"
 
 namespace corrob {
@@ -17,6 +18,11 @@ namespace {
 
 void PutU8(std::string* out, uint8_t value) {
   out->push_back(static_cast<char>(value));
+}
+
+/// A fresh payload: the version byte every encoder starts with.
+std::string NewPayload() {
+  return std::string(1, static_cast<char>(kProtocolVersion));
 }
 
 void PutU32(std::string* out, uint32_t value) {
@@ -64,6 +70,31 @@ class PayloadReader {
     CORROB_RETURN_NOT_OK(Need(1, "u8"));
     *out = static_cast<uint8_t>(rest_[0]);
     rest_.remove_prefix(1);
+    return Status::OK();
+  }
+
+  /// Every decoder's first read: the payload must speak exactly
+  /// kProtocolVersion.
+  [[nodiscard]] Status ReadVersion() {
+    uint8_t version = 0;
+    CORROB_RETURN_NOT_OK(ReadU8(&version));
+    if (version != kProtocolVersion) {
+      return Status::FailedPrecondition(
+          "payload codec version " + std::to_string(version) +
+          " does not match this build's version " +
+          std::to_string(kProtocolVersion));
+    }
+    return Status::OK();
+  }
+
+  [[nodiscard]] Status ReadPriority(Priority* out) {
+    uint8_t priority = 0;
+    CORROB_RETURN_NOT_OK(ReadU8(&priority));
+    if (priority >= kNumPriorities) {
+      return Status::InvalidArgument("unknown priority class " +
+                                     std::to_string(priority));
+    }
+    *out = static_cast<Priority>(priority);
     return Status::OK();
   }
 
@@ -167,23 +198,6 @@ class PayloadReader {
   std::string_view rest_;
 };
 
-/// Reads the payload version byte and rejects anything outside the
-/// supported window. Most payloads accept [1, current]; v2-only
-/// payloads pass 2 as the floor.
-[[nodiscard]] Result<uint8_t> ReadVersionInRange(PayloadReader& reader,
-                                                 uint8_t min_version,
-                                                 uint8_t max_version) {
-  uint8_t version = 0;
-  CORROB_RETURN_NOT_OK(reader.ReadU8(&version));
-  if (version < min_version || version > max_version) {
-    return Status::FailedPrecondition(
-        "payload codec version " + std::to_string(version) +
-        " is outside the supported range [" + std::to_string(min_version) +
-        ", " + std::to_string(max_version) + "]");
-  }
-  return version;
-}
-
 }  // namespace
 
 std::string_view PriorityName(Priority priority) {
@@ -223,67 +237,41 @@ Status NormalizeOptions(OptionList* options) {
 }
 
 std::string EncodeCorroborateRequest(const CorroborateRequest& request) {
-  return EncodeCorroborateRequest(request, kProtocolVersion);
-}
-
-std::string EncodeCorroborateRequest(const CorroborateRequest& request,
-                                     uint8_t version) {
-  std::string out;
-  PutU8(&out, version);
+  std::string out = NewPayload();
   PutU8(&out, static_cast<uint8_t>(request.priority));
   PutU32(&out, request.timeout_ms);
   PutU32(&out, request.max_rounds);
   PutString(&out, request.dataset);
   PutString(&out, request.algorithm);
-  if (version >= 2) {
-    PutString(&out, request.tenant);
-    PutOptions(&out, request.options);
-  }
-  if (version >= 3) {
-    PutString(&out, request.request_id);
-  }
+  PutString(&out, request.tenant);
+  PutOptions(&out, request.options);
+  PutString(&out, request.request_id);
   return out;
 }
 
 Result<CorroborateRequest> DecodeCorroborateRequest(
     std::string_view payload) {
   PayloadReader reader(payload);
-  CORROB_ASSIGN_OR_RETURN(
-      uint8_t version,
-      ReadVersionInRange(reader, kMinCorroborateRequestVersion,
-                         kProtocolVersion));
+  CORROB_RETURN_NOT_OK(reader.ReadVersion());
   CorroborateRequest request;
-  uint8_t priority = 0;
-  CORROB_RETURN_NOT_OK(reader.ReadU8(&priority));
-  if (priority >= kNumPriorities) {
-    return Status::InvalidArgument("unknown priority class " +
-                                   std::to_string(priority));
-  }
-  request.priority = static_cast<Priority>(priority);
+  CORROB_RETURN_NOT_OK(reader.ReadPriority(&request.priority));
   CORROB_RETURN_NOT_OK(reader.ReadU32(&request.timeout_ms));
   CORROB_RETURN_NOT_OK(reader.ReadU32(&request.max_rounds));
   CORROB_RETURN_NOT_OK(reader.ReadString(&request.dataset));
   CORROB_RETURN_NOT_OK(reader.ReadString(&request.algorithm));
-  if (version >= 2) {
-    CORROB_RETURN_NOT_OK(reader.ReadString(&request.tenant));
-    CORROB_RETURN_NOT_OK(reader.ReadOptions(&request.options));
-  }
-  if (version >= 3) {
-    CORROB_RETURN_NOT_OK(reader.ReadString(&request.request_id));
-  }
+  CORROB_RETURN_NOT_OK(reader.ReadString(&request.tenant));
+  CORROB_RETURN_NOT_OK(reader.ReadOptions(&request.options));
+  CORROB_RETURN_NOT_OK(reader.ReadString(&request.request_id));
   CORROB_RETURN_NOT_OK(reader.ExpectEnd());
   return request;
 }
 
 std::string EncodeCorroborateResponse(
     const CorroborateResponse& response) {
-  std::string out;
-  out.reserve(32 + 8 * (response.fact_probability.size() +
-                        response.source_trust.size()));
-  // The response payload is deliberately still version 1: it carries
-  // no v2 field and staying put keeps cached/coalesced/batch replies
-  // byte-identical to any response a v1 peer recorded.
-  PutU8(&out, 1);
+  std::string out = NewPayload();
+  out.reserve(32 + response.request_id.size() +
+              8 * (response.fact_probability.size() +
+                   response.source_trust.size()));
   PutString(&out, response.algorithm);
   PutU8(&out, response.termination);
   PutU32(&out, response.iterations);
@@ -291,112 +279,100 @@ std::string EncodeCorroborateResponse(
   for (const double p : response.fact_probability) PutF64(&out, p);
   PutU32(&out, static_cast<uint32_t>(response.source_trust.size()));
   for (const double t : response.source_trust) PutF64(&out, t);
+  PutString(&out, response.request_id);
   return out;
 }
 
 Result<CorroborateResponse> DecodeCorroborateResponse(
     std::string_view payload) {
   PayloadReader reader(payload);
-  CORROB_ASSIGN_OR_RETURN(
-      uint8_t version, ReadVersionInRange(reader, 1, kProtocolVersion));
+  CORROB_RETURN_NOT_OK(reader.ReadVersion());
   CorroborateResponse response;
   CORROB_RETURN_NOT_OK(reader.ReadString(&response.algorithm));
   CORROB_RETURN_NOT_OK(reader.ReadU8(&response.termination));
   CORROB_RETURN_NOT_OK(reader.ReadU32(&response.iterations));
   CORROB_RETURN_NOT_OK(reader.ReadF64Vector(&response.fact_probability));
   CORROB_RETURN_NOT_OK(reader.ReadF64Vector(&response.source_trust));
-  if (version >= 3) {
-    CORROB_RETURN_NOT_OK(reader.ReadString(&response.request_id));
-  }
+  CORROB_RETURN_NOT_OK(reader.ReadString(&response.request_id));
   CORROB_RETURN_NOT_OK(reader.ExpectEnd());
   return response;
 }
 
 std::string EncodeErrorResponse(const ErrorResponse& response) {
-  std::string out;
-  PutU8(&out, 1);
+  std::string out = NewPayload();
   PutU8(&out, response.code);
   PutString(&out, response.message);
+  PutString(&out, response.request_id);
   return out;
 }
 
 Result<ErrorResponse> DecodeErrorResponse(std::string_view payload) {
   PayloadReader reader(payload);
-  CORROB_ASSIGN_OR_RETURN(
-      uint8_t version, ReadVersionInRange(reader, 1, kProtocolVersion));
+  CORROB_RETURN_NOT_OK(reader.ReadVersion());
   ErrorResponse response;
   CORROB_RETURN_NOT_OK(reader.ReadU8(&response.code));
   CORROB_RETURN_NOT_OK(reader.ReadString(&response.message));
-  if (version >= 3) {
-    CORROB_RETURN_NOT_OK(reader.ReadString(&response.request_id));
-  }
+  CORROB_RETURN_NOT_OK(reader.ReadString(&response.request_id));
   CORROB_RETURN_NOT_OK(reader.ExpectEnd());
   return response;
 }
 
 std::string EncodeOverloadedResponse(const OverloadedResponse& response) {
-  std::string out;
-  PutU8(&out, 1);
+  std::string out = NewPayload();
   PutU32(&out, response.retry_after_ms);
   PutU32(&out, response.queue_depth);
   PutString(&out, response.message);
+  PutString(&out, response.request_id);
   return out;
 }
 
 Result<OverloadedResponse> DecodeOverloadedResponse(
     std::string_view payload) {
   PayloadReader reader(payload);
-  CORROB_ASSIGN_OR_RETURN(
-      uint8_t version, ReadVersionInRange(reader, 1, kProtocolVersion));
+  CORROB_RETURN_NOT_OK(reader.ReadVersion());
   OverloadedResponse response;
   CORROB_RETURN_NOT_OK(reader.ReadU32(&response.retry_after_ms));
   CORROB_RETURN_NOT_OK(reader.ReadU32(&response.queue_depth));
   CORROB_RETURN_NOT_OK(reader.ReadString(&response.message));
-  if (version >= 3) {
-    CORROB_RETURN_NOT_OK(reader.ReadString(&response.request_id));
-  }
+  CORROB_RETURN_NOT_OK(reader.ReadString(&response.request_id));
   CORROB_RETURN_NOT_OK(reader.ExpectEnd());
   return response;
 }
 
 std::string EncodeQuotaExceededResponse(
     const QuotaExceededResponse& response) {
-  std::string out;
-  // Pinned at version 2: version 3 means "plus a trailing request id",
-  // which only AttachRequestId produces.
-  PutU8(&out, 2);
+  std::string out = NewPayload();
   PutU32(&out, response.retry_after_ms);
   PutString(&out, response.tenant);
   PutString(&out, response.message);
+  PutString(&out, response.request_id);
   return out;
 }
 
 Result<QuotaExceededResponse> DecodeQuotaExceededResponse(
     std::string_view payload) {
   PayloadReader reader(payload);
-  CORROB_ASSIGN_OR_RETURN(
-      uint8_t version, ReadVersionInRange(reader, 2, kProtocolVersion));
+  CORROB_RETURN_NOT_OK(reader.ReadVersion());
   QuotaExceededResponse response;
   CORROB_RETURN_NOT_OK(reader.ReadU32(&response.retry_after_ms));
   CORROB_RETURN_NOT_OK(reader.ReadString(&response.tenant));
   CORROB_RETURN_NOT_OK(reader.ReadString(&response.message));
-  if (version >= 3) {
-    CORROB_RETURN_NOT_OK(reader.ReadString(&response.request_id));
-  }
+  CORROB_RETURN_NOT_OK(reader.ReadString(&response.request_id));
   CORROB_RETURN_NOT_OK(reader.ExpectEnd());
   return response;
 }
 
-void AttachRequestId(std::string* payload, const std::string& request_id) {
-  if (request_id.empty() || payload->empty()) return;
-  (*payload)[0] = static_cast<char>(kProtocolVersion);
+void AttachRequestId(std::string* payload, std::string_view request_id) {
+  if (request_id.empty()) return;
+  // The payload ends with the empty id's zero length prefix.
+  CORROB_DCHECK(payload->size() > 4 &&
+                payload->ends_with(std::string_view("\0\0\0\0", 4)));
+  payload->resize(payload->size() - 4);
   PutString(payload, request_id);
 }
 
 std::string EncodeBatchRequest(const BatchRequest& request) {
-  std::string out;
-  // Batch payloads carry no v3 field; pinned at 2 (see version history).
-  PutU8(&out, 2);
+  std::string out = NewPayload();
   PutU8(&out, static_cast<uint8_t>(request.priority));
   PutString(&out, request.tenant);
   PutU32(&out, static_cast<uint32_t>(request.items.size()));
@@ -412,16 +388,9 @@ std::string EncodeBatchRequest(const BatchRequest& request) {
 
 Result<BatchRequest> DecodeBatchRequest(std::string_view payload) {
   PayloadReader reader(payload);
-  CORROB_RETURN_NOT_OK(
-      ReadVersionInRange(reader, 2, kProtocolVersion).status());
+  CORROB_RETURN_NOT_OK(reader.ReadVersion());
   BatchRequest request;
-  uint8_t priority = 0;
-  CORROB_RETURN_NOT_OK(reader.ReadU8(&priority));
-  if (priority >= kNumPriorities) {
-    return Status::InvalidArgument("unknown priority class " +
-                                   std::to_string(priority));
-  }
-  request.priority = static_cast<Priority>(priority);
+  CORROB_RETURN_NOT_OK(reader.ReadPriority(&request.priority));
   CORROB_RETURN_NOT_OK(reader.ReadString(&request.tenant));
   uint32_t count = 0;
   CORROB_RETURN_NOT_OK(reader.ReadU32(&count));
@@ -448,8 +417,7 @@ Result<BatchRequest> DecodeBatchRequest(std::string_view payload) {
 }
 
 std::string EncodeBatchResponse(const BatchResponse& response) {
-  std::string out;
-  PutU8(&out, 2);
+  std::string out = NewPayload();
   PutU32(&out, static_cast<uint32_t>(response.items.size()));
   for (const BatchItemResponse& item : response.items) {
     PutU8(&out, item.type);
@@ -460,8 +428,7 @@ std::string EncodeBatchResponse(const BatchResponse& response) {
 
 Result<BatchResponse> DecodeBatchResponse(std::string_view payload) {
   PayloadReader reader(payload);
-  CORROB_RETURN_NOT_OK(
-      ReadVersionInRange(reader, 2, kProtocolVersion).status());
+  CORROB_RETURN_NOT_OK(reader.ReadVersion());
   BatchResponse response;
   uint32_t count = 0;
   CORROB_RETURN_NOT_OK(reader.ReadU32(&count));
@@ -482,17 +449,14 @@ Result<BatchResponse> DecodeBatchResponse(std::string_view payload) {
 }
 
 std::string EncodeReloadRequest(const ReloadRequest& request) {
-  std::string out;
-  // Reload payloads carry no v3 field; pinned at 2 (see version history).
-  PutU8(&out, 2);
+  std::string out = NewPayload();
   PutString(&out, request.dataset);
   return out;
 }
 
 Result<ReloadRequest> DecodeReloadRequest(std::string_view payload) {
   PayloadReader reader(payload);
-  CORROB_RETURN_NOT_OK(
-      ReadVersionInRange(reader, 2, kProtocolVersion).status());
+  CORROB_RETURN_NOT_OK(reader.ReadVersion());
   ReloadRequest request;
   CORROB_RETURN_NOT_OK(reader.ReadString(&request.dataset));
   CORROB_RETURN_NOT_OK(reader.ExpectEnd());
@@ -500,8 +464,7 @@ Result<ReloadRequest> DecodeReloadRequest(std::string_view payload) {
 }
 
 std::string EncodeReloadResponse(const ReloadResponse& response) {
-  std::string out;
-  PutU8(&out, 2);
+  std::string out = NewPayload();
   PutU32(&out, response.datasets_reloaded);
   PutU64(&out, response.generation);
   return out;
@@ -509,8 +472,7 @@ std::string EncodeReloadResponse(const ReloadResponse& response) {
 
 Result<ReloadResponse> DecodeReloadResponse(std::string_view payload) {
   PayloadReader reader(payload);
-  CORROB_RETURN_NOT_OK(
-      ReadVersionInRange(reader, 2, kProtocolVersion).status());
+  CORROB_RETURN_NOT_OK(reader.ReadVersion());
   ReloadResponse response;
   CORROB_RETURN_NOT_OK(reader.ReadU32(&response.datasets_reloaded));
   CORROB_RETURN_NOT_OK(reader.ReadU64(&response.generation));
@@ -519,8 +481,7 @@ Result<ReloadResponse> DecodeReloadResponse(std::string_view payload) {
 }
 
 std::string EncodeApplyDeltaRequest(const ApplyDeltaRequest& request) {
-  std::string out;
-  PutU8(&out, kApplyDeltaVersion);
+  std::string out = NewPayload();
   PutString(&out, request.dataset);
   PutU32(&out, static_cast<uint32_t>(request.deltas.size()));
   for (const WalRecord& record : request.deltas) {
@@ -536,9 +497,7 @@ std::string EncodeApplyDeltaRequest(const ApplyDeltaRequest& request) {
 
 Result<ApplyDeltaRequest> DecodeApplyDeltaRequest(std::string_view payload) {
   PayloadReader reader(payload);
-  CORROB_RETURN_NOT_OK(
-      ReadVersionInRange(reader, kApplyDeltaVersion, kApplyDeltaVersion)
-          .status());
+  CORROB_RETURN_NOT_OK(reader.ReadVersion());
   ApplyDeltaRequest request;
   CORROB_RETURN_NOT_OK(reader.ReadString(&request.dataset));
   uint32_t count = 0;
@@ -591,8 +550,7 @@ Result<ApplyDeltaRequest> DecodeApplyDeltaRequest(std::string_view payload) {
 }
 
 std::string EncodeApplyDeltaResponse(const ApplyDeltaResponse& response) {
-  std::string out;
-  PutU8(&out, kApplyDeltaVersion);
+  std::string out = NewPayload();
   PutU32(&out, response.applied);
   PutU64(&out, response.generation);
   return out;
@@ -601,9 +559,7 @@ std::string EncodeApplyDeltaResponse(const ApplyDeltaResponse& response) {
 Result<ApplyDeltaResponse> DecodeApplyDeltaResponse(
     std::string_view payload) {
   PayloadReader reader(payload);
-  CORROB_RETURN_NOT_OK(
-      ReadVersionInRange(reader, kApplyDeltaVersion, kApplyDeltaVersion)
-          .status());
+  CORROB_RETURN_NOT_OK(reader.ReadVersion());
   ApplyDeltaResponse response;
   CORROB_RETURN_NOT_OK(reader.ReadU32(&response.applied));
   CORROB_RETURN_NOT_OK(reader.ReadU64(&response.generation));
@@ -612,8 +568,7 @@ Result<ApplyDeltaResponse> DecodeApplyDeltaResponse(
 }
 
 std::string EncodeIntrospectRequest(const IntrospectRequest& request) {
-  std::string out;
-  PutU8(&out, kProtocolVersion);
+  std::string out = NewPayload();
   PutU32(&out, request.top_k);
   PutU32(&out, request.max_recent);
   return out;
@@ -622,8 +577,7 @@ std::string EncodeIntrospectRequest(const IntrospectRequest& request) {
 Result<IntrospectRequest> DecodeIntrospectRequest(
     std::string_view payload) {
   PayloadReader reader(payload);
-  CORROB_RETURN_NOT_OK(
-      ReadVersionInRange(reader, 3, kProtocolVersion).status());
+  CORROB_RETURN_NOT_OK(reader.ReadVersion());
   IntrospectRequest request;
   CORROB_RETURN_NOT_OK(reader.ReadU32(&request.top_k));
   CORROB_RETURN_NOT_OK(reader.ReadU32(&request.max_recent));

@@ -11,39 +11,21 @@
 #include "common/status.h"
 #include "data/wal.h"
 
-// Payload encodings of the corrobd frames (docs/SERVING.md). Each
-// payload starts with a u8 codec version so the format can evolve
-// without changing the frame layer. Integers are little-endian;
-// doubles travel as their IEEE-754 bit pattern, so a response is
-// byte-identical whenever the underlying corroboration result is —
-// the property the drain parity and serving-equivalence tests assert
-// end to end.
-//
-// Version history:
-//   1  PR 6: corroborate request/response, error, overloaded.
-//   2  serving-efficiency layer: requests carry a tenant id and a
-//      canonically ordered option list; batch, quota-exceeded and
-//      reload frames. Version-1 corroborate requests are still
-//      decoded (empty tenant, no options).
-//   3  live introspection: corroborate requests may carry a client-
-//      supplied request id, echoed back as a trailing string on the
-//      per-request response payloads (result, error, overloaded,
-//      quota-exceeded) via AttachRequestId; introspect frames. A
-//      version byte of 3 on a response payload means exactly "the
-//      version-1/2 fields plus a trailing request id", so the batch
-//      and reload payloads — which never carry an id — stay pinned
-//      at version 2 on the wire.
-//   4  durable delta ingestion: apply-delta frames carrying WAL vote
-//      deltas (data/wal.h record types). Both apply-delta payloads
-//      are pinned at version 4; every other payload keeps its pinned
-//      version, so responses recorded by a v3 peer stay byte-valid.
+// Payload encodings of the corrobd frames (docs/SERVING.md). Every
+// payload starts with the u8 kProtocolVersion; a decoder rejects any
+// other value as a version skew (FailedPrecondition), so a peer built
+// from a different tree fails loudly instead of misparsing. Integers
+// are little-endian; doubles travel as their IEEE-754 bit pattern, so
+// a response is byte-identical whenever the underlying corroboration
+// result is — the property the drain parity and serving-equivalence
+// tests assert end to end.
 
 namespace corrob {
 namespace server {
 
-inline constexpr uint8_t kProtocolVersion = 3;
-/// Oldest corroborate-request version the daemon still accepts.
-inline constexpr uint8_t kMinCorroborateRequestVersion = 1;
+/// The one payload codec version. It sits above every version byte an
+/// earlier build ever sent, so old payloads fail as a typed skew.
+inline constexpr uint8_t kProtocolVersion = 5;
 
 /// Admission priority class of a request. Lower values are served
 /// first; each class maps onto a default Deadline + ResourceBudget
@@ -86,20 +68,15 @@ struct CorroborateRequest {
   uint32_t max_rounds = 0;
   std::string tenant;
   OptionList options;
-  /// Optional client-chosen correlation id (v3). The daemon echoes it
+  /// Optional client-chosen correlation id. The daemon echoes it
   /// on the response payload and records it in the flight recorder,
   /// so a client-observed latency can be matched to the server-side
   /// record. Never part of the cache key.
   std::string request_id;
 };
 
-/// Encodes at the current version. The overload taking `version`
-/// exists for compatibility tests; version 1 drops tenant/options,
-/// versions below 3 drop request_id.
 [[nodiscard]] std::string EncodeCorroborateRequest(
     const CorroborateRequest& request);
-[[nodiscard]] std::string EncodeCorroborateRequest(
-    const CorroborateRequest& request, uint8_t version);
 [[nodiscard]] Result<CorroborateRequest> DecodeCorroborateRequest(
     std::string_view payload);
 
@@ -114,9 +91,9 @@ struct CorroborateResponse {
   uint32_t iterations = 0;
   std::vector<double> fact_probability;
   std::vector<double> source_trust;
-  /// Echo of the request's id (v3); empty when the client sent none.
-  /// Attached after encoding via AttachRequestId, never by the
-  /// encoder itself — the canonical cached payload stays id-free.
+  /// Echo of the request's id; empty when the client sent none. The
+  /// daemon encodes with an empty id and lets AttachRequestId fill it
+  /// in, so the payload it caches and shares stays id-free.
   std::string request_id;
 };
 
@@ -130,7 +107,7 @@ struct CorroborateResponse {
 struct ErrorResponse {
   uint8_t code = 0;
   std::string message;
-  /// Echo of the request's id (v3); empty when the client sent none.
+  /// Echo of the request's id; empty when the client sent none.
   std::string request_id;
 };
 
@@ -145,7 +122,7 @@ struct OverloadedResponse {
   uint32_t retry_after_ms = 0;
   uint32_t queue_depth = 0;
   std::string message;
-  /// Echo of the request's id (v3); empty when the client sent none.
+  /// Echo of the request's id; empty when the client sent none.
   std::string request_id;
 };
 
@@ -162,7 +139,7 @@ struct QuotaExceededResponse {
   uint32_t retry_after_ms = 0;
   std::string tenant;
   std::string message;
-  /// Echo of the request's id (v3); empty when the client sent none.
+  /// Echo of the request's id; empty when the client sent none.
   std::string request_id;
 };
 
@@ -171,14 +148,13 @@ struct QuotaExceededResponse {
 [[nodiscard]] Result<QuotaExceededResponse> DecodeQuotaExceededResponse(
     std::string_view payload);
 
-/// Splices a client request id onto an already-encoded per-request
-/// response payload: rewrites the leading version byte to 3 and
-/// appends the id as a length-prefixed string. With an empty id the
-/// payload is untouched, byte for byte — the property that keeps
-/// cached, coalesced and batch replies identical to what a v2 peer
-/// recorded. The daemon calls this after the cache/coalescer, so the
-/// shared canonical payload never carries any one client's id.
-void AttachRequestId(std::string* payload, const std::string& request_id);
+/// Replaces the trailing empty request id of a per-request response
+/// payload (result, error, overloaded, quota-exceeded — each encoded
+/// with an empty `request_id`) with `request_id`. An empty id leaves
+/// the payload untouched, byte for byte. The daemon calls this after
+/// the cache/coalescer, so the shared payload never carries any one
+/// client's id.
+void AttachRequestId(std::string* payload, std::string_view request_id);
 
 /// Upper bound on sub-requests in one batch frame; a decoder seeing
 /// more rejects before allocating.
@@ -245,16 +221,11 @@ struct ReloadResponse {
 [[nodiscard]] Result<ReloadResponse> DecodeReloadResponse(
     std::string_view payload);
 
-/// Codec version of the apply-delta payloads (v4); they are pinned
-/// here rather than at kProtocolVersion because no other payload
-/// gained a field in v4.
-inline constexpr uint8_t kApplyDeltaVersion = 4;
-
 /// Upper bound on deltas in one apply-delta frame; a decoder seeing
 /// more rejects before allocating.
 inline constexpr uint32_t kMaxDeltaItems = 4096;
 
-/// Durable mutation of a served dataset (v4): append `deltas` to the
+/// Durable mutation of a served dataset: append `deltas` to the
 /// dataset's write-ahead log, then apply them to the resident
 /// Dataset. The daemon acks only after the WAL append (and fsync,
 /// under the always policy) succeeded — an acked delta survives
@@ -282,7 +253,7 @@ struct ApplyDeltaResponse {
 [[nodiscard]] Result<ApplyDeltaResponse> DecodeApplyDeltaResponse(
     std::string_view payload);
 
-/// Live-introspection query (v3): how much of each introspection
+/// Live-introspection query: how much of each introspection
 /// table to return. The response frame's payload is the raw
 /// corrob.introspect/1 JSON document (no version byte), mirroring the
 /// stats frame.

@@ -36,6 +36,7 @@ struct ServerMetrics {
   obs::Counter* requests_failed;
   obs::Counter* requests_quota_rejected;
   obs::Counter* responses_sent;
+  obs::Counter* response_write_failures;
   obs::Counter* deltas_applied;
   obs::Counter* wal_failures;
   obs::Counter* slow_requests;
@@ -57,6 +58,8 @@ struct ServerMetrics {
       m.requests_quota_rejected =
           registry.GetCounter("corrobd.requests.quota_rejected");
       m.responses_sent = registry.GetCounter("corrobd.responses.sent");
+      m.response_write_failures =
+          registry.GetCounter("corrobd.responses.write_failed");
       m.deltas_applied = registry.GetCounter("corrobd.deltas.applied");
       m.wal_failures = registry.GetCounter("corrobd.wal.failures");
       m.slow_requests = registry.GetCounter("corrob.server.slow_requests");
@@ -105,6 +108,23 @@ bool IsShareableTermination(uint8_t termination) {
       return false;
   }
   return false;
+}
+
+/// `status` as an error-response payload (with an empty request id).
+std::string ErrorPayload(const Status& status) {
+  ErrorResponse body;
+  body.code = static_cast<uint8_t>(status.code());
+  body.message = status.message();
+  return EncodeErrorResponse(body);
+}
+
+std::string QuotaExceededPayload(const std::string& tenant,
+                                 const QuotaDecision& decision) {
+  QuotaExceededResponse body;
+  body.retry_after_ms = decision.retry_after_ms;
+  body.tenant = tenant;
+  body.message = decision.reason;
+  return EncodeQuotaExceededResponse(body);
 }
 
 }  // namespace
@@ -436,14 +456,12 @@ void CorrobdServer::RunConnection(Connection* connection) {
       if (next.status().code() == StatusCode::kCancelled) break;
       // Framing is broken (bad magic, checksum, oversize, I/O error):
       // report the typed error if the pipe still works, then close —
-      // the stream can no longer be trusted to be frame-aligned.
-      Frame error;
-      error.type = FrameType::kErrorResponse;
-      ErrorResponse body;
-      body.code = static_cast<uint8_t>(next.status().code());
-      body.message = next.status().message();
-      error.payload = EncodeErrorResponse(body);
-      (void)WriteFrame(connection->fd.get(), error, WriteStop());  // lint: discard-ok: already closing on error
+      // the stream can no longer be trusted to be frame-aligned. This
+      // bypasses Respond(): no request was read, so this best-effort
+      // goodbye is neither a served response nor a failed request.
+      (void)WriteFrame(connection->fd.get(),  // lint: discard-ok: already closing on error
+                       {FrameType::kErrorResponse, ErrorPayload(next.status())},
+                       WriteStop());
       break;
     }
     if (!next.ValueOrDie().has_value()) break;  // clean goodbye
@@ -457,17 +475,8 @@ void CorrobdServer::RunConnection(Connection* connection) {
 Status CorrobdServer::HandleFrame(Connection* connection, FrameType type,
                                   const std::string& payload) {
   switch (type) {
-    case FrameType::kPingRequest: {
-      Frame pong;
-      pong.type = FrameType::kPongResponse;
-      pong.payload = payload;  // echo
-      Status written = WriteFrame(connection->fd.get(), pong, WriteStop());
-      if (written.ok()) {
-        responses_sent_.fetch_add(1, std::memory_order_relaxed);
-        ServerMetrics::Get().responses_sent->Add(1);
-      }
-      return written;
-    }
+    case FrameType::kPingRequest:
+      return Respond(connection, FrameType::kPongResponse, payload);
     case FrameType::kStatsRequest:
       return HandleStats(connection);
     case FrameType::kIntrospectRequest:
@@ -480,24 +489,34 @@ Status CorrobdServer::HandleFrame(Connection* connection, FrameType type,
       return HandleReload(connection, payload);
     case FrameType::kApplyDeltaRequest:
       return HandleApplyDelta(connection, payload);
-    default: {
+    default:
       // A response type arriving at the server: answer in-band and
       // keep the connection (framing itself is intact).
-      Frame error;
-      error.type = FrameType::kErrorResponse;
-      ErrorResponse body;
-      body.code = static_cast<uint8_t>(StatusCode::kInvalidArgument);
-      body.message = "server cannot handle frame type '" +
-                     std::string(FrameTypeName(type)) + "'";
-      error.payload = EncodeErrorResponse(body);
-      Status written = WriteFrame(connection->fd.get(), error, WriteStop());
-      if (written.ok()) {
-        responses_sent_.fetch_add(1, std::memory_order_relaxed);
-        ServerMetrics::Get().responses_sent->Add(1);
-      }
-      return written;
-    }
+      return RespondError(
+          connection, Status::InvalidArgument(
+                          "server cannot handle frame type '" +
+                          std::string(FrameTypeName(type)) + "'"));
   }
+}
+
+Status CorrobdServer::Respond(Connection* connection, FrameType type,
+                              std::string payload) {
+  // Counted before the write: a client that has read the whole frame
+  // must already see it in responses_sent(). A write that then fails
+  // is also counted under corrobd.responses.write_failed.
+  ServerMetrics& metrics = ServerMetrics::Get();
+  responses_sent_.fetch_add(1, std::memory_order_relaxed);
+  metrics.responses_sent->Add(1);
+  const Status written = WriteFrame(
+      connection->fd.get(), {type, std::move(payload)}, WriteStop());
+  if (!written.ok()) metrics.response_write_failures->Add(1);
+  return written;
+}
+
+Status CorrobdServer::RespondError(Connection* connection,
+                                   const Status& status) {
+  ServerMetrics::Get().requests_failed->Add(1);
+  return Respond(connection, FrameType::kErrorResponse, ErrorPayload(status));
 }
 
 Status CorrobdServer::HandleStats(Connection* connection) {
@@ -573,100 +592,70 @@ Status CorrobdServer::HandleStats(Connection* connection) {
   recorder_json.Set("slow", obs::JsonValue::Int(recorder.slow));
   stats.Set("recorder", std::move(recorder_json));
 
-  obs::JsonValue watchdog_json = obs::JsonValue::Object();
-  watchdog_json.Set("scans",
-                    obs::JsonValue::Int(watchdog_scans_.load(
-                        std::memory_order_relaxed)));
-  watchdog_json.Set("flagged",
-                    obs::JsonValue::Int(watchdog_flagged_.load(
-                        std::memory_order_relaxed)));
-  watchdog_json.Set("stuck", obs::JsonValue::Int(recorder_->stuck_now()));
-  stats.Set("watchdog", std::move(watchdog_json));
+  stats.Set("watchdog", WatchdogJson());
 
-  Frame response;
-  response.type = FrameType::kStatsResponse;
-  response.payload = stats.Dump();
-  Status written = WriteFrame(connection->fd.get(), response, WriteStop());
-  if (written.ok()) {
-    responses_sent_.fetch_add(1, std::memory_order_relaxed);
-    ServerMetrics::Get().responses_sent->Add(1);
-  }
-  return written;
+  return Respond(connection, FrameType::kStatsResponse, stats.Dump());
+}
+
+obs::JsonValue CorrobdServer::WatchdogJson() const {
+  obs::JsonValue watchdog = obs::JsonValue::Object();
+  watchdog.Set("scans", obs::JsonValue::Int(
+                            watchdog_scans_.load(std::memory_order_relaxed)));
+  watchdog.Set("flagged", obs::JsonValue::Int(watchdog_flagged_.load(
+                              std::memory_order_relaxed)));
+  watchdog.Set("stuck", obs::JsonValue::Int(recorder_->stuck_now()));
+  return watchdog;
 }
 
 Status CorrobdServer::HandleIntrospect(Connection* connection,
                                        const std::string& payload) {
-  Frame response;
   Result<IntrospectRequest> decoded = DecodeIntrospectRequest(payload);
-  if (!decoded.ok()) {
-    response.type = FrameType::kErrorResponse;
-    ErrorResponse body;
-    body.code = static_cast<uint8_t>(decoded.status().code());
-    body.message = decoded.status().message();
-    response.payload = EncodeErrorResponse(body);
-    ServerMetrics::Get().requests_failed->Add(1);
-  } else {
-    const IntrospectRequest& request = decoded.ValueOrDie();
-    // Bound both knobs by the ring capacity: asking for more than the
-    // recorder can hold is harmless, but the caps keep a hostile u32
-    // from turning into an int overflow.
-    const int top_k = static_cast<int>(
-        std::min<uint32_t>(request.top_k, 1u << 20));
-    const int max_recent = static_cast<int>(
-        std::min<uint32_t>(request.max_recent, 1u << 20));
+  if (!decoded.ok()) return RespondError(connection, decoded.status());
+  const IntrospectRequest& request = decoded.ValueOrDie();
+  // Bound both knobs by the ring capacity: asking for more than the
+  // recorder can hold is harmless, but the caps keep a hostile u32
+  // from turning into an int overflow.
+  const int top_k = static_cast<int>(
+      std::min<uint32_t>(request.top_k, 1u << 20));
+  const int max_recent = static_cast<int>(
+      std::min<uint32_t>(request.max_recent, 1u << 20));
 
-    obs::JsonValue doc = obs::JsonValue::Object();
-    doc.Set("schema", obs::JsonValue::Str("corrob.introspect/1"));
-    const int64_t now = clock_->NowNanos();
-    doc.Set("now_nanos", obs::JsonValue::Int(now));
+  obs::JsonValue doc = obs::JsonValue::Object();
+  doc.Set("schema", obs::JsonValue::Str("corrob.introspect/1"));
+  const int64_t now = clock_->NowNanos();
+  doc.Set("now_nanos", obs::JsonValue::Int(now));
 
-    obs::JsonValue active = obs::JsonValue::Array();
-    for (const obs::ActiveSnapshot& snap : recorder_->ActiveRequests(now)) {
-      obs::JsonValue row = obs::JsonValue::Object();
-      row.Set("seq",
-              obs::JsonValue::Int(static_cast<int64_t>(snap.sequence)));
-      row.Set("id", obs::JsonValue::Str(snap.client_request_id));
-      row.Set("tenant", obs::JsonValue::Str(snap.tenant));
-      row.Set("dataset", obs::JsonValue::Str(snap.dataset));
-      row.Set("method", obs::JsonValue::Str(snap.method));
-      row.Set("priority", obs::JsonValue::Str(snap.priority));
-      row.Set("age_nanos", obs::JsonValue::Int(snap.age_nanos));
-      row.Set("deadline_nanos", obs::JsonValue::Int(snap.deadline_nanos));
-      row.Set("flagged", obs::JsonValue::Bool(snap.flagged_stuck));
-      active.Append(std::move(row));
-    }
-    doc.Set("active", std::move(active));
-
-    doc.Set("recorder", recorder_->SnapshotJson(top_k, max_recent));
-
-    obs::JsonValue watchdog = obs::JsonValue::Object();
-    watchdog.Set("scans",
-                 obs::JsonValue::Int(watchdog_scans_.load(
-                     std::memory_order_relaxed)));
-    watchdog.Set("flagged",
-                 obs::JsonValue::Int(watchdog_flagged_.load(
-                     std::memory_order_relaxed)));
-    watchdog.Set("stuck", obs::JsonValue::Int(recorder_->stuck_now()));
-    doc.Set("watchdog", std::move(watchdog));
-
-    doc.Set("metrics", obs::MetricsRegistry::Global().Snapshot().ToJson());
-
-    response.type = FrameType::kIntrospectResponse;
-    response.payload = doc.Dump();
+  obs::JsonValue active = obs::JsonValue::Array();
+  for (const obs::ActiveSnapshot& snap : recorder_->ActiveRequests(now)) {
+    obs::JsonValue row = obs::JsonValue::Object();
+    row.Set("seq",
+            obs::JsonValue::Int(static_cast<int64_t>(snap.sequence)));
+    row.Set("id", obs::JsonValue::Str(snap.client_request_id));
+    row.Set("tenant", obs::JsonValue::Str(snap.tenant));
+    row.Set("dataset", obs::JsonValue::Str(snap.dataset));
+    row.Set("method", obs::JsonValue::Str(snap.method));
+    row.Set("priority", obs::JsonValue::Str(snap.priority));
+    row.Set("age_nanos", obs::JsonValue::Int(snap.age_nanos));
+    row.Set("deadline_nanos", obs::JsonValue::Int(snap.deadline_nanos));
+    row.Set("flagged", obs::JsonValue::Bool(snap.flagged_stuck));
+    active.Append(std::move(row));
   }
+  doc.Set("active", std::move(active));
 
-  Status written = WriteFrame(connection->fd.get(), response, WriteStop());
-  if (written.ok()) {
-    responses_sent_.fetch_add(1, std::memory_order_relaxed);
-    ServerMetrics::Get().responses_sent->Add(1);
-  }
-  return written;
+  doc.Set("recorder", recorder_->SnapshotJson(top_k, max_recent));
+
+  doc.Set("watchdog", WatchdogJson());
+
+  doc.Set("metrics", obs::MetricsRegistry::Global().Snapshot().ToJson());
+
+  return Respond(connection, FrameType::kIntrospectResponse, doc.Dump());
 }
 
-CorrobdServer::SubResponse CorrobdServer::ExecuteOne(
-    Connection* connection, const SubRequest& request, bool charge_rate) {
+Frame CorrobdServer::ExecuteOne(Connection* connection,
+                                const CorroborateRequest& request,
+                                bool charge_rate) {
   ServerMetrics& metrics = ServerMetrics::Get();
-  SubResponse out;
+  Frame out;
 
   const int cls = static_cast<int>(request.priority);
   const int64_t timeout_ms =
@@ -713,20 +702,13 @@ CorrobdServer::SubResponse CorrobdServer::ExecuteOne(
 
   const auto fail = [&](const Status& status) {
     out.type = FrameType::kErrorResponse;
-    ErrorResponse body;
-    body.code = static_cast<uint8_t>(status.code());
-    body.message = status.message();
-    out.payload = EncodeErrorResponse(body);
+    out.payload = ErrorPayload(status);
     metrics.requests_failed->Add(1);
     finish_record("error");
   };
   const auto quota_reject = [&](const QuotaDecision& decision) {
     out.type = FrameType::kQuotaExceededResponse;
-    QuotaExceededResponse body;
-    body.retry_after_ms = decision.retry_after_ms;
-    body.tenant = request.tenant;
-    body.message = decision.reason;
-    out.payload = EncodeQuotaExceededResponse(body);
+    out.payload = QuotaExceededPayload(request.tenant, decision);
     metrics.requests_quota_rejected->Add(1);
     finish_record("quota_rejected");
   };
@@ -951,261 +933,158 @@ CorrobdServer::SubResponse CorrobdServer::ExecuteOne(
 
 Status CorrobdServer::HandleCorroborate(Connection* connection,
                                         const std::string& payload) {
-  Frame response;
   Result<CorroborateRequest> decoded = DecodeCorroborateRequest(payload);
-  if (!decoded.ok()) {
-    response.type = FrameType::kErrorResponse;
-    ErrorResponse body;
-    body.code = static_cast<uint8_t>(decoded.status().code());
-    body.message = decoded.status().message();
-    response.payload = EncodeErrorResponse(body);
-    ServerMetrics::Get().requests_failed->Add(1);
-  } else {
-    const CorroborateRequest& request = decoded.ValueOrDie();
-    SubRequest sub;
-    sub.priority = request.priority;
-    sub.tenant = request.tenant;
-    sub.dataset = request.dataset;
-    sub.algorithm = request.algorithm;
-    sub.timeout_ms = request.timeout_ms;
-    sub.max_rounds = request.max_rounds;
-    sub.options = request.options;
-    sub.request_id = request.request_id;
-    SubResponse result = ExecuteOne(connection, sub, /*charge_rate=*/true);
-    response.type = result.type;
-    response.payload = std::move(result.payload);
-    // After the cache/coalescer: the shared canonical payload stays
-    // id-free; only this client's copy grows the echo.
-    AttachRequestId(&response.payload, request.request_id);
-  }
-
-  Status written = WriteFrame(connection->fd.get(), response, WriteStop());
-  if (written.ok()) {
-    responses_sent_.fetch_add(1, std::memory_order_relaxed);
-    ServerMetrics::Get().responses_sent->Add(1);
-  }
-  return written;
+  if (!decoded.ok()) return RespondError(connection, decoded.status());
+  const CorroborateRequest& request = decoded.ValueOrDie();
+  Frame response = ExecuteOne(connection, request, /*charge_rate=*/true);
+  // After the cache/coalescer: the shared payload stays id-free; only
+  // this client's copy carries the echo.
+  AttachRequestId(&response.payload, request.request_id);
+  return Respond(connection, response.type, std::move(response.payload));
 }
 
 Status CorrobdServer::HandleBatch(Connection* connection,
                                   const std::string& payload) {
-  Frame response;
   Result<BatchRequest> decoded = DecodeBatchRequest(payload);
-  if (!decoded.ok()) {
-    response.type = FrameType::kErrorResponse;
-    ErrorResponse body;
-    body.code = static_cast<uint8_t>(decoded.status().code());
-    body.message = decoded.status().message();
-    response.payload = EncodeErrorResponse(body);
-    ServerMetrics::Get().requests_failed->Add(1);
-  } else {
-    const BatchRequest& request = decoded.ValueOrDie();
-    // The whole batch charges the tenant's rate bucket up front —
-    // items.size() admission units, all or nothing.
-    const QuotaDecision rate = quotas_->ChargeRate(
-        request.tenant, static_cast<int>(request.items.size()));
-    if (!rate.allowed) {
-      response.type = FrameType::kQuotaExceededResponse;
-      QuotaExceededResponse body;
-      body.retry_after_ms = rate.retry_after_ms;
-      body.tenant = request.tenant;
-      body.message = rate.reason;
-      response.payload = EncodeQuotaExceededResponse(body);
-      ServerMetrics::Get().requests_quota_rejected->Add(1);
-    } else {
-      BatchResponse batch;
-      batch.items.reserve(request.items.size());
-      for (const BatchItem& item : request.items) {
-        SubRequest sub;
-        sub.priority = request.priority;
-        sub.tenant = request.tenant;
-        sub.dataset = item.dataset;
-        sub.algorithm = item.algorithm;
-        sub.timeout_ms = item.timeout_ms;
-        sub.max_rounds = item.max_rounds;
-        sub.options = item.options;
-        SubResponse result =
-            ExecuteOne(connection, sub, /*charge_rate=*/false);
-        BatchItemResponse encoded;
-        encoded.type = static_cast<uint8_t>(result.type);
-        encoded.payload = std::move(result.payload);
-        batch.items.push_back(std::move(encoded));
-      }
-      response.type = FrameType::kBatchResponse;
-      response.payload = EncodeBatchResponse(batch);
-    }
+  if (!decoded.ok()) return RespondError(connection, decoded.status());
+  const BatchRequest& request = decoded.ValueOrDie();
+  // The whole batch charges the tenant's rate bucket up front —
+  // items.size() admission units, all or nothing.
+  const QuotaDecision rate = quotas_->ChargeRate(
+      request.tenant, static_cast<int>(request.items.size()));
+  if (!rate.allowed) {
+    ServerMetrics::Get().requests_quota_rejected->Add(1);
+    return Respond(connection, FrameType::kQuotaExceededResponse,
+                   QuotaExceededPayload(request.tenant, rate));
   }
-
-  Status written = WriteFrame(connection->fd.get(), response, WriteStop());
-  if (written.ok()) {
-    responses_sent_.fetch_add(1, std::memory_order_relaxed);
-    ServerMetrics::Get().responses_sent->Add(1);
+  BatchResponse batch;
+  batch.items.reserve(request.items.size());
+  for (const BatchItem& item : request.items) {
+    CorroborateRequest sub;
+    sub.priority = request.priority;
+    sub.tenant = request.tenant;
+    sub.dataset = item.dataset;
+    sub.algorithm = item.algorithm;
+    sub.timeout_ms = item.timeout_ms;
+    sub.max_rounds = item.max_rounds;
+    sub.options = item.options;
+    Frame result = ExecuteOne(connection, sub, /*charge_rate=*/false);
+    batch.items.push_back(
+        {static_cast<uint8_t>(result.type), std::move(result.payload)});
   }
-  return written;
+  return Respond(connection, FrameType::kBatchResponse,
+                 EncodeBatchResponse(batch));
 }
 
 Status CorrobdServer::HandleReload(Connection* connection,
                                    const std::string& payload) {
-  Frame response;
-  const auto respond_error = [&](const Status& status) {
-    response.type = FrameType::kErrorResponse;
-    ErrorResponse body;
-    body.code = static_cast<uint8_t>(status.code());
-    body.message = status.message();
-    response.payload = EncodeErrorResponse(body);
-    ServerMetrics::Get().requests_failed->Add(1);
-  };
-
   Result<ReloadRequest> decoded = DecodeReloadRequest(payload);
-  if (!decoded.ok()) {
-    respond_error(decoded.status());
-  } else {
-    const ReloadRequest& request = decoded.ValueOrDie();
-    ReloadResponse body;
-    Status reloaded = Status::OK();
-    if (!request.dataset.empty()) {
-      ServedDataset* served = FindDataset(request.dataset);
-      if (served == nullptr) {
-        reloaded = Status::NotFound("dataset '" + request.dataset +
-                                    "' is not loaded");
-      } else {
-        reloaded = ReloadDataset(served);
-        if (reloaded.ok()) {
-          body.datasets_reloaded = 1;
-          body.generation =
-              served->generation.load(std::memory_order_acquire);
-        }
-      }
-    } else {
-      for (const auto& served : datasets_) {
-        reloaded = ReloadDataset(served.get());
-        if (!reloaded.ok()) break;
-        ++body.datasets_reloaded;
-        body.generation =
-            std::max(body.generation,
-                     served->generation.load(std::memory_order_acquire));
-      }
-    }
-    if (!reloaded.ok()) {
-      respond_error(reloaded);
-    } else {
-      response.type = FrameType::kReloadResponse;
-      response.payload = EncodeReloadResponse(body);
-    }
-  }
+  if (!decoded.ok()) return RespondError(connection, decoded.status());
+  Result<ReloadResponse> reloaded = Reload(decoded.ValueOrDie());
+  if (!reloaded.ok()) return RespondError(connection, reloaded.status());
+  return Respond(connection, FrameType::kReloadResponse,
+                 EncodeReloadResponse(reloaded.ValueOrDie()));
+}
 
-  Status written = WriteFrame(connection->fd.get(), response, WriteStop());
-  if (written.ok()) {
-    responses_sent_.fetch_add(1, std::memory_order_relaxed);
-    ServerMetrics::Get().responses_sent->Add(1);
+Result<ReloadResponse> CorrobdServer::Reload(const ReloadRequest& request) {
+  ReloadResponse body;
+  if (!request.dataset.empty()) {
+    ServedDataset* served = FindDataset(request.dataset);
+    if (served == nullptr) {
+      return Status::NotFound("dataset '" + request.dataset +
+                              "' is not loaded");
+    }
+    CORROB_RETURN_NOT_OK(ReloadDataset(served));
+    body.datasets_reloaded = 1;
+    body.generation = served->generation.load(std::memory_order_acquire);
+    return body;
   }
-  return written;
+  for (const auto& served : datasets_) {
+    CORROB_RETURN_NOT_OK(ReloadDataset(served.get()));
+    ++body.datasets_reloaded;
+    body.generation =
+        std::max(body.generation,
+                 served->generation.load(std::memory_order_acquire));
+  }
+  return body;
 }
 
 Status CorrobdServer::HandleApplyDelta(Connection* connection,
                                        const std::string& payload) {
-  Frame response;
-  const auto respond_error = [&](const Status& status) {
-    response.type = FrameType::kErrorResponse;
-    ErrorResponse body;
-    body.code = static_cast<uint8_t>(status.code());
-    body.message = status.message();
-    response.payload = EncodeErrorResponse(body);
-    ServerMetrics::Get().requests_failed->Add(1);
-  };
-
   Result<ApplyDeltaRequest> decoded = DecodeApplyDeltaRequest(payload);
-  if (!decoded.ok()) {
-    respond_error(decoded.status());
-  } else if (options_.wal_dir.empty()) {
-    respond_error(Status::FailedPrecondition(
-        "corrobd is running without --wal; delta ingestion is "
-        "disabled"));
-  } else {
-    const ApplyDeltaRequest& request = decoded.ValueOrDie();
-    ServedDataset* served = FindDataset(request.dataset);
-    if (served == nullptr) {
-      respond_error(Status::NotFound("dataset '" + request.dataset +
-                                     "' is not loaded"));
-    } else {
-      // One mutator at a time. Readers never wait on this lock: they
-      // snapshot the shared_ptr under served->mutex, which an apply
-      // only takes for the final swap.
-      std::lock_guard<std::mutex> wal_lock(served->wal_mutex);
-      Status applied = Status::OK();
-      if (!served->wal_healthy || served->wal == nullptr) {
-        applied = Status::WalUnavailable(
-            "dataset '" + served->name +
-            "' is serving read-only: its write-ahead log previously "
-            "failed (restart corrobd to recover)");
-      }
-      std::shared_ptr<const Dataset> current;
-      if (applied.ok()) {
-        std::lock_guard<std::mutex> lock(served->mutex);
-        current = served->dataset;
-      }
-      // Validate-and-build before the log sees anything, so a delta
-      // batch the core rejects leaves both the WAL and the resident
-      // dataset untouched.
-      Result<Dataset> rebuilt =
-          Status::FailedPrecondition("delta rebuild never ran");
-      if (applied.ok()) {
-        rebuilt = ApplyDeltasToDataset(*current, request.deltas);
-        if (!rebuilt.ok()) applied = rebuilt.status();
-      }
-      if (applied.ok()) {
-        // Durability before the ack: the whole batch reaches the log
-        // (and the disk, under the always policy) as ONE framed
-        // record before the client hears anything. One frame means
-        // all-or-nothing: a NACKed batch can never leave a durable
-        // prefix of itself for the next restart to replay.
-        applied = served->wal->AppendBatch(request.deltas);
-        if (!applied.ok()) {
-          // The log can no longer be trusted to be ahead of the
-          // resident state, so stop mutating: reads continue from
-          // the snapshot, writes get the typed code below.
-          served->wal_healthy = false;
-          ServerMetrics::Get().wal_failures->Add(1);
-          CORROB_LOG_WARNING
-              << "corrobd: WAL append failed for dataset '"
-              << served->name << "' (" << applied.message()
-              << "); dataset degrades to read-only serving";
-          applied = Status::WalUnavailable(
-              "WAL append failed for dataset '" + served->name +
-              "': " + applied.message() +
-              " (dataset now serves read-only)");
-        }
-      }
-      if (!applied.ok()) {
-        respond_error(applied);
-      } else {
-        {
-          std::lock_guard<std::mutex> lock(served->mutex);
-          served->dataset = std::make_shared<const Dataset>(
-              std::move(rebuilt).ValueOrDie());
-          served->generation.fetch_add(1, std::memory_order_release);
-        }
-        cache_->InvalidateDataset(served->name);
-        served->deltas_applied.fetch_add(request.deltas.size(),
-                                         std::memory_order_relaxed);
-        ServerMetrics::Get().deltas_applied->Add(
-            static_cast<int64_t>(request.deltas.size()));
-        ApplyDeltaResponse body;
-        body.applied = static_cast<uint32_t>(request.deltas.size());
-        body.generation =
-            served->generation.load(std::memory_order_acquire);
-        response.type = FrameType::kApplyDeltaResponse;
-        response.payload = EncodeApplyDeltaResponse(body);
-      }
-    }
-  }
+  if (!decoded.ok()) return RespondError(connection, decoded.status());
+  // ApplyDeltas takes the dataset's WAL lock; the reply is written
+  // after it returns, never under the lock.
+  Result<ApplyDeltaResponse> applied = ApplyDeltas(decoded.ValueOrDie());
+  if (!applied.ok()) return RespondError(connection, applied.status());
+  return Respond(connection, FrameType::kApplyDeltaResponse,
+                 EncodeApplyDeltaResponse(applied.ValueOrDie()));
+}
 
-  Status written = WriteFrame(connection->fd.get(), response, WriteStop());
-  if (written.ok()) {
-    responses_sent_.fetch_add(1, std::memory_order_relaxed);
-    ServerMetrics::Get().responses_sent->Add(1);
+Result<ApplyDeltaResponse> CorrobdServer::ApplyDeltas(
+    const ApplyDeltaRequest& request) {
+  if (options_.wal_dir.empty()) {
+    return Status::FailedPrecondition(
+        "corrobd is running without --wal; delta ingestion is disabled");
   }
-  return written;
+  ServedDataset* served = FindDataset(request.dataset);
+  if (served == nullptr) {
+    return Status::NotFound("dataset '" + request.dataset +
+                            "' is not loaded");
+  }
+  // One mutator at a time. Readers never wait on this lock: they
+  // snapshot the shared_ptr under served->mutex, which an apply only
+  // takes for the final swap.
+  std::lock_guard<std::mutex> wal_lock(served->wal_mutex);
+  if (!served->wal_healthy || served->wal == nullptr) {
+    return Status::WalUnavailable(
+        "dataset '" + served->name +
+        "' is serving read-only: its write-ahead log previously "
+        "failed (restart corrobd to recover)");
+  }
+  std::shared_ptr<const Dataset> current;
+  {
+    std::lock_guard<std::mutex> lock(served->mutex);
+    current = served->dataset;
+  }
+  // Validate-and-build before the log sees anything, so a delta batch
+  // the core rejects leaves both the WAL and the resident dataset
+  // untouched.
+  CORROB_ASSIGN_OR_RETURN(Dataset rebuilt,
+                          ApplyDeltasToDataset(*current, request.deltas));
+  // Durability before the ack: the whole batch reaches the log (and
+  // the disk, under the always policy) as ONE framed record before the
+  // client hears anything. One frame means all-or-nothing: a NACKed
+  // batch can never leave a durable prefix of itself for the next
+  // restart to replay.
+  const Status appended = served->wal->AppendBatch(request.deltas);
+  if (!appended.ok()) {
+    // The log can no longer be trusted to be ahead of the resident
+    // state, so stop mutating: reads continue from the snapshot,
+    // writes get the typed code below.
+    served->wal_healthy = false;
+    ServerMetrics::Get().wal_failures->Add(1);
+    CORROB_LOG_WARNING << "corrobd: WAL append failed for dataset '"
+                       << served->name << "' (" << appended.message()
+                       << "); dataset degrades to read-only serving";
+    return Status::WalUnavailable("WAL append failed for dataset '" +
+                                  served->name + "': " + appended.message() +
+                                  " (dataset now serves read-only)");
+  }
+  {
+    std::lock_guard<std::mutex> lock(served->mutex);
+    served->dataset = std::make_shared<const Dataset>(std::move(rebuilt));
+    served->generation.fetch_add(1, std::memory_order_release);
+  }
+  cache_->InvalidateDataset(served->name);
+  served->deltas_applied.fetch_add(request.deltas.size(),
+                                   std::memory_order_relaxed);
+  ServerMetrics::Get().deltas_applied->Add(
+      static_cast<int64_t>(request.deltas.size()));
+  ApplyDeltaResponse body;
+  body.applied = static_cast<uint32_t>(request.deltas.size());
+  body.generation = served->generation.load(std::memory_order_acquire);
+  return body;
 }
 
 }  // namespace server

@@ -19,6 +19,7 @@
 #include "data/dataset.h"
 #include "data/wal.h"
 #include "obs/clock.h"
+#include "obs/json.h"
 #include "obs/flight_recorder.h"
 #include "server/admission.h"
 #include "server/cache.h"
@@ -162,36 +163,15 @@ class CorrobdServer {
   [[nodiscard]] const RunCoalescer& coalescer() const { return coalescer_; }
   [[nodiscard]] const TenantQuotas& quotas() const { return *quotas_; }
 
-  /// Requests fully served (any response frame written).
+  /// Response frames handed to the socket. Counted before the write,
+  /// so a client that has read a reply always finds it counted; writes
+  /// that then fail are also counted in corrobd.responses.write_failed.
   [[nodiscard]] int64_t responses_sent() const {
     return responses_sent_.load(std::memory_order_relaxed);
   }
 
  private:
   struct Connection;
-
-  /// The request-shaped core shared by the standalone corroborate
-  /// path and each batch item: everything but the frame write.
-  struct SubRequest {
-    Priority priority = Priority::kBatch;
-    std::string tenant;
-    std::string dataset;
-    std::string algorithm;
-    uint32_t timeout_ms = 0;
-    uint32_t max_rounds = 0;
-    OptionList options;  // already normalized by the codec
-    /// Client correlation id (v3); recorded in the flight recorder.
-    /// Batch items never carry one.
-    std::string request_id;
-  };
-
-  /// What ExecuteOne produced: the response frame type and its
-  /// payload, byte-identical whether it is written standalone or
-  /// embedded as a batch item.
-  struct SubResponse {
-    FrameType type = FrameType::kErrorResponse;
-    std::string payload;
-  };
 
   /// Runs one connection: frame loop until EOF, drain, or a framing
   /// error. Never throws; never exits the process.
@@ -204,6 +184,16 @@ class CorrobdServer {
   [[nodiscard]] Status HandleFrame(Connection* connection,
                                    FrameType type,
                                    const std::string& payload);
+
+  /// The one reply path: writes one frame and keeps the response
+  /// counters. Every handler answers through here.
+  [[nodiscard]] Status Respond(Connection* connection, FrameType type,
+                               std::string payload);
+
+  /// Respond() with `status` as a typed error frame; counts the
+  /// request as failed.
+  [[nodiscard]] Status RespondError(Connection* connection,
+                                    const Status& status);
 
   /// The corroborate path: decode, then ExecuteOne, then the frame.
   [[nodiscard]] Status HandleCorroborate(Connection* connection,
@@ -222,6 +212,9 @@ class CorrobdServer {
   [[nodiscard]] Status HandleReload(Connection* connection,
                                     const std::string& payload);
 
+  /// Reloads the named dataset, or every dataset for an empty name.
+  [[nodiscard]] Result<ReloadResponse> Reload(const ReloadRequest& request);
+
   /// Durable mutation path: append the decoded deltas to the
   /// dataset's WAL as one atomic batch frame (ack only after the
   /// append — and fsync, under the always policy — succeeded; a
@@ -234,6 +227,11 @@ class CorrobdServer {
   [[nodiscard]] Status HandleApplyDelta(Connection* connection,
                                         const std::string& payload);
 
+  /// The mutation behind HandleApplyDelta, under the dataset's WAL
+  /// lock; the caller writes the reply after the lock is released.
+  [[nodiscard]] Result<ApplyDeltaResponse> ApplyDeltas(
+      const ApplyDeltaRequest& request);
+
   /// Serves the stats frame: a JSON snapshot of queues, slots, cache,
   /// coalescer, quota and request counters.
   [[nodiscard]] Status HandleStats(Connection* connection);
@@ -245,13 +243,19 @@ class CorrobdServer {
   [[nodiscard]] Status HandleIntrospect(Connection* connection,
                                         const std::string& payload);
 
-  /// Cache lookup → quota → admission → coalesce → run. When
-  /// `charge_rate` (standalone requests), the tenant's rate bucket is
-  /// charged one token up front; batch items are pre-charged by
-  /// HandleBatch.
-  [[nodiscard]] SubResponse ExecuteOne(Connection* connection,
-                                       const SubRequest& request,
-                                       bool charge_rate);
+  /// The watchdog block shared by the stats and introspect documents.
+  [[nodiscard]] obs::JsonValue WatchdogJson() const;
+
+  /// Cache lookup → quota → admission → coalesce → run, shared by the
+  /// standalone corroborate path and each batch item. Returns the
+  /// response frame type and its payload (with an empty request id),
+  /// byte-identical whether written standalone or embedded as a batch
+  /// item. When `charge_rate` (standalone requests), the tenant's rate
+  /// bucket is charged one token up front; batch items are pre-charged
+  /// by HandleBatch.
+  [[nodiscard]] Frame ExecuteOne(Connection* connection,
+                                 const CorroborateRequest& request,
+                                 bool charge_rate);
 
   /// Re-reads `served` from its startup path. On success the new data
   /// is swapped in, the generation bumps, and cached results for the

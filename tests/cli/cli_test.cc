@@ -12,6 +12,7 @@
 #include "data/motivating_example.h"
 #include "obs/json.h"
 #include "obs/telemetry.h"
+#include "testing/temp_dir.h"
 
 namespace corrob {
 namespace {
@@ -19,19 +20,18 @@ namespace {
 class CliTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dataset_path_ = ::testing::TempDir() + "/corrob_cli_dataset.csv";
+    dataset_path_ = TempPath("dataset.csv");
     MotivatingExample example = MakeMotivatingExample();
     ASSERT_TRUE(
         SaveDatasetCsv(dataset_path_, example.dataset, &example.truth).ok());
   }
 
   void TearDown() override {
-    std::remove(dataset_path_.c_str());
     for (const std::string& path : cleanup_) std::remove(path.c_str());
   }
 
   std::string TempPath(const std::string& name) {
-    std::string path = ::testing::TempDir() + "/" + name;
+    std::string path = testutil::TestTempPath(name);
     cleanup_.push_back(path);
     return path;
   }

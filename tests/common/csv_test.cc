@@ -7,6 +7,7 @@
 
 #include "common/failpoint.h"
 #include "common/random.h"
+#include "testing/temp_dir.h"
 
 namespace corrob {
 namespace {
@@ -112,7 +113,7 @@ TEST(CsvRoundTripTest, RandomTablesSurviveRoundTrip) {
 }
 
 TEST(CsvFileTest, WriteThenReadBack) {
-  std::string path = ::testing::TempDir() + "/corrob_csv_test.csv";
+  std::string path = testutil::TestTempPath("rows.csv");
   std::vector<std::vector<std::string>> rows{{"h1", "h2"}, {"1", "2"}};
   ASSERT_TRUE(WriteCsvFile(path, rows).ok());
   auto doc = ReadCsvFile(path).ValueOrDie();
@@ -148,7 +149,7 @@ TEST(CsvParseTest, BomMidFileIsData) {
 }
 
 TEST(AtomicWriteTest, ReplacesExistingFile) {
-  std::string path = ::testing::TempDir() + "/corrob_atomic_test.txt";
+  std::string path = testutil::TestTempPath("atomic.txt");
   ASSERT_TRUE(WriteFileAtomic(path, "first").ok());
   ASSERT_TRUE(WriteFileAtomic(path, "second").ok());
   EXPECT_EQ(ReadFileToString(path).ValueOrDie(), "second");
@@ -159,7 +160,7 @@ TEST(AtomicWriteTest, ReplacesExistingFile) {
 
 TEST(AtomicWriteTest, InjectedFaultLeavesOriginalIntactAtEveryStage) {
   ScopedFailpointDisarmer disarmer;
-  std::string path = ::testing::TempDir() + "/corrob_atomic_fault.txt";
+  std::string path = testutil::TestTempPath("atomic_fault.txt");
   ASSERT_TRUE(WriteFileAtomic(path, "precious original").ok());
   for (const char* stage :
        {"io.atomic_write.open", "io.atomic_write.write",

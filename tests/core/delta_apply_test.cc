@@ -17,6 +17,7 @@
 #include "data/dataset_io.h"
 #include "data/wal.h"
 #include "testing/property.h"
+#include "testing/temp_dir.h"
 
 // Delta application semantics plus the metamorphic contract the WAL
 // leans on: replaying any crash-surviving prefix of deltas produces a
@@ -172,8 +173,7 @@ TEST(DeltaApplyTest, CrashPrefixReplayEqualsBatchRebuildAtBothThreadCounts) {
   // and require the recovered dataset to be bit-identical to a batch
   // rebuild from the surviving prefix — and to corroborate
   // bit-identically at 1 and 4 run threads.
-  const std::string dir =
-      ::testing::TempDir() + "/delta_apply_crash_prefix";
+  const std::string dir = testutil::TestTempPath("delta_apply_crash_prefix");
   const std::vector<WalRecord> deltas = MakeRandomDeltas(0xFEED5EED, 30);
 
   RemoveWalDir(dir);
@@ -247,7 +247,7 @@ TEST(DeltaApplyTest, CrashPrefixReplayEqualsBatchRebuildAtBothThreadCounts) {
 }
 
 TEST(DeltaApplyTest, RecoveryWithSnapshotUsesItAsTheBase) {
-  const std::string dir = ::testing::TempDir() + "/delta_apply_snapshot";
+  const std::string dir = testutil::TestTempPath("delta_apply_snapshot");
   RemoveWalDir(dir);
   WalOptions options;
   options.fsync_policy = WalFsyncPolicy::kNever;

@@ -298,13 +298,23 @@ TEST(IncEstHeuTest, IdentifiesPollutedSourcesOnSyntheticData) {
 /// Property sweep: on random synthetic corpora of varying shape, the
 /// incremental run remains well-formed (all facts committed, bounded
 /// probabilities/trust, trajectory consistent).
+///
+/// The case has no PrintTo, so gtest prints it as its raw bytes and the
+/// ctest name of each case is built from that print. `zero_fill` takes
+/// the four bytes that would otherwise be padding between `facts` and
+/// `eta`; left as padding they hold whatever the stack held, and the
+/// test names changed from one process to the next.
 struct IncPropertyCase {
-  int sources;
-  int inaccurate;
-  int facts;
-  double eta;
-  uint64_t seed;
+  int sources = 0;
+  int inaccurate = 0;
+  int facts = 0;
+  int32_t zero_fill = 0;
+  double eta = 0.0;
+  uint64_t seed = 0;
 };
+static_assert(sizeof(IncPropertyCase) ==
+                  4 * sizeof(int) + sizeof(double) + sizeof(uint64_t),
+              "IncPropertyCase must have no padding bytes");
 
 class IncEstimatePropertyTest
     : public ::testing::TestWithParam<IncPropertyCase> {};
@@ -347,12 +357,36 @@ TEST_P(IncEstimatePropertyTest, RunIsWellFormed) {
 
 INSTANTIATE_TEST_SUITE_P(
     Shapes, IncEstimatePropertyTest,
-    ::testing::Values(IncPropertyCase{2, 0, 50, 0.0, 1},
-                      IncPropertyCase{3, 3, 100, 0.0, 2},
-                      IncPropertyCase{5, 1, 200, 0.05, 3},
-                      IncPropertyCase{6, 2, 400, 0.02, 4},
-                      IncPropertyCase{10, 4, 300, 0.04, 5},
-                      IncPropertyCase{4, 2, 77, 0.01, 6}));
+    ::testing::Values(IncPropertyCase{.sources = 2,
+                                      .inaccurate = 0,
+                                      .facts = 50,
+                                      .eta = 0.0,
+                                      .seed = 1},
+                      IncPropertyCase{.sources = 3,
+                                      .inaccurate = 3,
+                                      .facts = 100,
+                                      .eta = 0.0,
+                                      .seed = 2},
+                      IncPropertyCase{.sources = 5,
+                                      .inaccurate = 1,
+                                      .facts = 200,
+                                      .eta = 0.05,
+                                      .seed = 3},
+                      IncPropertyCase{.sources = 6,
+                                      .inaccurate = 2,
+                                      .facts = 400,
+                                      .eta = 0.02,
+                                      .seed = 4},
+                      IncPropertyCase{.sources = 10,
+                                      .inaccurate = 4,
+                                      .facts = 300,
+                                      .eta = 0.04,
+                                      .seed = 5},
+                      IncPropertyCase{.sources = 4,
+                                      .inaccurate = 2,
+                                      .facts = 77,
+                                      .eta = 0.01,
+                                      .seed = 6}));
 
 }  // namespace
 }  // namespace corrob

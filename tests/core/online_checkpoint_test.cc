@@ -11,6 +11,7 @@
 #include "common/failpoint.h"
 #include "common/random.h"
 #include "data/vote.h"
+#include "testing/temp_dir.h"
 
 namespace corrob {
 namespace {
@@ -276,7 +277,7 @@ TEST(OnlineCheckpointTest, RejectsPrehistoricVersionAsTooOld) {
 }
 
 TEST(OnlineCheckpointTest, SaveLoadThroughDisk) {
-  std::string path = ::testing::TempDir() + "/corrob_snapshot_test.snap";
+  std::string path = testutil::TestTempPath("snapshot.snap");
   OnlineCorroborator online = MakeBusyCorroborator();
   ASSERT_TRUE(SaveOnlineSnapshot(path, online).ok());
   auto restored = LoadOnlineSnapshot(path).ValueOrDie();
@@ -290,7 +291,7 @@ TEST(OnlineCheckpointTest, LoadMissingFileIsNotFound) {
 }
 
 TEST(OnlineCheckpointTest, LoadNamesThePathOnCorruption) {
-  std::string path = ::testing::TempDir() + "/corrob_corrupt_test.snap";
+  std::string path = testutil::TestTempPath("corrupt.snap");
   ASSERT_TRUE(WriteFileAtomic(path, "junk bytes").ok());
   auto result = LoadOnlineSnapshot(path);
   EXPECT_EQ(result.status().code(), StatusCode::kParseError);
@@ -300,7 +301,7 @@ TEST(OnlineCheckpointTest, LoadNamesThePathOnCorruption) {
 
 TEST(OnlineCheckpointTest, InjectedSaveFaultLeavesOldSnapshotIntact) {
   ScopedFailpointDisarmer disarmer;
-  std::string path = ::testing::TempDir() + "/corrob_snapshot_fault.snap";
+  std::string path = testutil::TestTempPath("fault.snap");
   OnlineCorroborator before = MakeBusyCorroborator(1);
   ASSERT_TRUE(SaveOnlineSnapshot(path, before).ok());
 
@@ -335,7 +336,7 @@ TEST(OnlineCheckpointTest, InterruptCheckpointPathKeepsFullSuffix) {
 
 TEST(OnlineCheckpointTest, RetryMasksTransientSaveFault) {
   ScopedFailpointDisarmer disarmer;
-  std::string path = ::testing::TempDir() + "/corrob_snapshot_retry.snap";
+  std::string path = testutil::TestTempPath("retry.snap");
   FailpointConfig config;
   config.max_failures = 2;  // fewer than the 3 attempts
   Failpoints::Arm("io.atomic_write.open", config);

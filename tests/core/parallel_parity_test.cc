@@ -16,6 +16,7 @@
 #include "core/registry.h"
 #include "synth/synthetic.h"
 #include "testing/property.h"
+#include "testing/temp_dir.h"
 
 namespace corrob {
 namespace {
@@ -134,7 +135,7 @@ TEST(StreamParityTest, CheckpointResumeMatchesUninterruptedRun) {
 TEST(StreamParityTest, FileRoundTripMatchesUninterruptedRun) {
   // Same contract through the durable snapshot file (serialize →
   // parse → resume), a few seeds deep.
-  std::string path = ::testing::TempDir() + "/parity_snapshot.snap";
+  std::string path = testutil::TestTempPath("parity.snap");
   ForEachSeed(0xF11E5EED, 5, [&](uint64_t seed) {
     Dataset dataset = MakeRandomDataset(seed);
     OnlineCorroborator uninterrupted = MakeOnline(dataset);

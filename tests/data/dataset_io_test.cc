@@ -6,6 +6,7 @@
 
 #include "common/csv.h"
 #include "data/motivating_example.h"
+#include "testing/temp_dir.h"
 
 namespace corrob {
 namespace {
@@ -97,7 +98,7 @@ TEST(DatasetIoTest, MotivatingExampleRoundTrips) {
 
 TEST(DatasetIoTest, FileRoundTrip) {
   MotivatingExample example = MakeMotivatingExample();
-  std::string path = ::testing::TempDir() + "/corrob_dataset_io_test.csv";
+  std::string path = testutil::TestTempPath("dataset.csv");
   ASSERT_TRUE(SaveDatasetCsv(path, example.dataset, &example.truth).ok());
   LabeledDataset loaded = LoadDatasetCsv(path).ValueOrDie();
   EXPECT_EQ(loaded.dataset.num_votes(), example.dataset.num_votes());
@@ -113,7 +114,7 @@ TEST(DatasetIoTest, MissingFileIsNotFound) {
 }
 
 TEST(DatasetIoTest, ParseErrorsNameTheFile) {
-  std::string path = ::testing::TempDir() + "/corrob_bad_dataset.csv";
+  std::string path = testutil::TestTempPath("bad_dataset.csv");
   ASSERT_TRUE(WriteStringToFile(path, "fact,s1\nr1,Q\n").ok());
   auto result = LoadDatasetCsv(path);
   EXPECT_EQ(result.status().code(), StatusCode::kParseError);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "data/motivating_example.h"
+#include "testing/temp_dir.h"
 
 namespace corrob {
 namespace {
@@ -66,7 +67,7 @@ TEST(GoldenIoTest, MissingFileIsNotFound) {
 TEST(GoldenIoTest, FileRoundTrip) {
   MotivatingExample example = MakeMotivatingExample();
   GoldenSet golden = GoldenSet::FromFullTruth(example.truth);
-  std::string path = ::testing::TempDir() + "/corrob_golden_io.csv";
+  std::string path = testutil::TestTempPath("golden.csv");
   ASSERT_TRUE(SaveGoldenCsv(path, golden, example.dataset).ok());
   GoldenSet loaded = LoadGoldenCsv(path, example.dataset).ValueOrDie();
   EXPECT_EQ(loaded.size(), 12u);

@@ -12,6 +12,7 @@
 
 #include "common/csv.h"
 #include "common/failpoint.h"
+#include "testing/temp_dir.h"
 
 // WAL framing and recovery: round trips across reopen, segment
 // rotation, compaction, and — the contract crash-safety rests on —
@@ -22,10 +23,8 @@
 namespace corrob {
 namespace {
 
-/// Removes `dir` and every regular file directly inside it, so each
-/// test starts from a WAL directory that does not exist. TempDir()
-/// persists across runs; without this, a previous run's segments
-/// would leak into this one's recovery.
+/// Removes `dir` and every regular file directly inside it, so a test
+/// can restart from a WAL directory that does not exist.
 void RemoveWalDir(const std::string& dir) {
   DIR* handle = ::opendir(dir.c_str());
   if (handle == nullptr) return;
@@ -45,10 +44,7 @@ void RemoveWalDir(const std::string& dir) {
 class WalTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    const ::testing::TestInfo* info =
-        ::testing::UnitTest::GetInstance()->current_test_info();
-    dir_ = ::testing::TempDir() + "/wal_" + info->name();
-    RemoveWalDir(dir_);
+    dir_ = testutil::TestTempPath("wal");
   }
 
   void TearDown() override {

@@ -7,6 +7,7 @@
 #include "common/csv.h"
 #include "core/inc_estimate.h"
 #include "data/motivating_example.h"
+#include "testing/temp_dir.h"
 
 namespace corrob {
 namespace {
@@ -45,7 +46,7 @@ TEST(ReportIoTest, TrajectoryRequiresRecording) {
 TEST(ReportIoTest, SaveTrajectoryRoundTrips) {
   MotivatingExample example = MakeMotivatingExample();
   CorroborationResult result = RunWithTrajectory(example.dataset);
-  std::string path = ::testing::TempDir() + "/corrob_trajectory.csv";
+  std::string path = testutil::TestTempPath("trajectory.csv");
   ASSERT_TRUE(SaveTrajectoryCsv(path, example.dataset, result).ok());
   CsvDocument doc = ReadCsvFile(path).ValueOrDie();
   EXPECT_EQ(doc.rows.size(), result.trajectory.size() + 1);

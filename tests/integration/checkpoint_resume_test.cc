@@ -13,6 +13,7 @@
 #include "core/online.h"
 #include "core/online_checkpoint.h"
 #include "synth/synthetic.h"
+#include "testing/temp_dir.h"
 
 namespace corrob {
 namespace {
@@ -66,8 +67,7 @@ TEST(CheckpointResumeTest, KillAt500AndResumeIsBitIdentical) {
   ScopedFailpointDisarmer disarmer;
   SyntheticDataset data = MakeStream();
   ASSERT_EQ(data.dataset.num_facts(), 1000);
-  const std::string checkpoint =
-      ::testing::TempDir() + "/corrob_resume_test.snap";
+  const std::string checkpoint = testutil::TestTempPath("resume.snap");
 
   // Reference: one uninterrupted pass.
   OnlineCorroborator reference = MakeCorroborator(data.dataset);
@@ -138,8 +138,7 @@ TEST(CheckpointResumeTest, SurvivesRepeatedProbabilisticKills) {
   // restored state rewinds to the checkpoint.
   ScopedFailpointDisarmer disarmer;
   SyntheticDataset data = MakeStream();
-  const std::string checkpoint =
-      ::testing::TempDir() + "/corrob_flaky_resume_test.snap";
+  const std::string checkpoint = testutil::TestTempPath("flaky_resume.snap");
 
   OnlineCorroborator reference = MakeCorroborator(data.dataset);
   for (FactId f = 0; f < data.dataset.num_facts(); ++f) {

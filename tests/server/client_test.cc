@@ -17,6 +17,7 @@
 #include "server/frame.h"
 #include "server/protocol.h"
 #include "server/server.h"
+#include "testing/temp_dir.h"
 
 // CorrobClient transport-failure taxonomy, pinned against a scripted
 // fake server: a daemon that dies mid-response must surface as the
@@ -37,9 +38,7 @@ class ScriptedServer {
  public:
   explicit ScriptedServer(std::string response_bytes)
       : response_bytes_(std::move(response_bytes)) {
-    const ::testing::TestInfo* info =
-        ::testing::UnitTest::GetInstance()->current_test_info();
-    path_ = ::testing::TempDir() + "/scripted_" + info->name() + ".sock";
+    path_ = testutil::TestTempPath("scripted.sock");
   }
 
   ~ScriptedServer() {
@@ -200,10 +199,7 @@ class RestartableDaemon {
 class ReconnectTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    const ::testing::TestInfo* info =
-        ::testing::UnitTest::GetInstance()->current_test_info();
-    const std::string stem =
-        ::testing::TempDir() + "/reconnect_" + info->name();
+    const std::string stem = testutil::TestTempPath("reconnect");
     csv_path_ = stem + ".csv";
     const MotivatingExample example = MakeMotivatingExample();
     ASSERT_TRUE(SaveDatasetCsv(csv_path_, example.dataset).ok());

@@ -17,9 +17,10 @@
 #include "server/frame.h"
 #include "server/protocol.h"
 #include "server/server.h"
+#include "testing/temp_dir.h"
 
 // Live-introspection tests: the 0x06/0x89 frame pair, the flight
-// recorder's determinism contract, request-id echo (protocol v3), the
+// recorder's determinism contract, request-id echo, the
 // stuck-request watchdog, and snapshot integrity under concurrent
 // load. Deterministic in-flight control comes from the
 // server.request.stall_hard failpoint, never from timing guesses.
@@ -78,10 +79,7 @@ class Daemon {
 class IntrospectTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    const ::testing::TestInfo* info =
-        ::testing::UnitTest::GetInstance()->current_test_info();
-    const std::string stem =
-        ::testing::TempDir() + "/introspect_" + info->name();
+    const std::string stem = testutil::TestTempPath("introspect");
     csv_path_ = stem + ".csv";
     socket_path_ = stem + ".sock";
     const MotivatingExample example = MakeMotivatingExample();
@@ -168,7 +166,7 @@ TEST_F(IntrospectTest, MalformedIntrospectPayloadGetsTypedError) {
 
   Frame wire;
   wire.type = FrameType::kIntrospectRequest;
-  wire.payload = "\x01garbage";  // version 1 is below the v3 floor
+  wire.payload = "\x01garbage";  // version 1 is not this build's version
   ASSERT_TRUE(WriteFrame(client.ValueOrDie().fd(), wire, NoStop()).ok());
   Result<Frame> response = ReadFrame(client.ValueOrDie().fd(), NoStop());
   ASSERT_TRUE(response.ok()) << response.status().ToString();
@@ -356,6 +354,8 @@ TEST_F(IntrospectTest, SnapshotsNeverTearUnderConcurrentLoad) {
 
   constexpr int kWorkers = 4;
   constexpr int kRequestsPerWorker = 40;
+  Result<CorrobClient> observer = Connect();
+  ASSERT_TRUE(observer.ok());
   std::atomic<int> completed{0};
   std::vector<std::thread> workers;
   for (int w = 0; w < kWorkers; ++w) {
@@ -376,42 +376,46 @@ TEST_F(IntrospectTest, SnapshotsNeverTearUnderConcurrentLoad) {
     });
   }
 
-  Result<CorrobClient> observer = Connect();
-  ASSERT_TRUE(observer.ok());
-  int64_t last_started = 0;
-  int64_t last_completed = 0;
   int snapshots = 0;
-  while (completed.load() < kWorkers * kRequestsPerWorker) {
-    Result<obs::JsonValue> doc = FetchIntrospect(&observer.ValueOrDie());
-    ASSERT_TRUE(doc.ok()) << doc.status().ToString();
-    const obs::JsonValue& introspect = doc.ValueOrDie();
-    ASSERT_EQ(introspect.Find("schema")->string_value(),
-              "corrob.introspect/1");
-    const obs::JsonValue* recorder = introspect.Find("recorder");
-    ASSERT_NE(recorder, nullptr);
-    const int64_t started = recorder->Find("started")->int_value();
-    const int64_t finished = recorder->Find("completed")->int_value();
-    ASSERT_GE(started, finished);
-    ASSERT_GE(started, last_started) << "started went backwards";
-    ASSERT_GE(finished, last_completed) << "completed went backwards";
-    last_started = started;
-    last_completed = finished;
-    int64_t last_seq = 0;
-    for (const obs::JsonValue& row : recorder->Find("recent")->items()) {
-      const int64_t seq = row.Find("seq")->int_value();
-      ASSERT_GT(seq, last_seq) << "recent ring out of order";
-      last_seq = seq;
+  // A failing ASSERT returns from this lambda only, so the workers are
+  // always joined below before the test can end.
+  const auto observe = [&] {
+    int64_t last_started = 0;
+    int64_t last_completed = 0;
+    while (completed.load() < kWorkers * kRequestsPerWorker) {
+      Result<obs::JsonValue> doc = FetchIntrospect(&observer.ValueOrDie());
+      ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+      const obs::JsonValue& introspect = doc.ValueOrDie();
+      ASSERT_EQ(introspect.Find("schema")->string_value(),
+                "corrob.introspect/1");
+      const obs::JsonValue* recorder = introspect.Find("recorder");
+      ASSERT_NE(recorder, nullptr);
+      const int64_t started = recorder->Find("started")->int_value();
+      const int64_t finished = recorder->Find("completed")->int_value();
+      ASSERT_GE(started, finished);
+      ASSERT_GE(started, last_started) << "started went backwards";
+      ASSERT_GE(finished, last_completed) << "completed went backwards";
+      last_started = started;
+      last_completed = finished;
+      int64_t last_seq = 0;
+      for (const obs::JsonValue& row : recorder->Find("recent")->items()) {
+        const int64_t seq = row.Find("seq")->int_value();
+        ASSERT_GT(seq, last_seq) << "recent ring out of order";
+        last_seq = seq;
+      }
+      // Stats must stay parseable concurrently too.
+      Result<std::string> stats = observer.ValueOrDie().Stats(NoStop());
+      ASSERT_TRUE(stats.ok());
+      obs::JsonValue stats_doc;
+      ASSERT_TRUE(obs::JsonValue::Parse(stats.ValueOrDie(), &stats_doc));
+      ASSERT_GE(stats_doc.Find("recorder")->Find("started")->int_value(),
+                last_started);
+      ++snapshots;
     }
-    // Stats must stay parseable concurrently too.
-    Result<std::string> stats = observer.ValueOrDie().Stats(NoStop());
-    ASSERT_TRUE(stats.ok());
-    obs::JsonValue stats_doc;
-    ASSERT_TRUE(obs::JsonValue::Parse(stats.ValueOrDie(), &stats_doc));
-    ASSERT_GE(stats_doc.Find("recorder")->Find("started")->int_value(),
-              last_started);
-    ++snapshots;
-  }
+  };
+  observe();
   for (std::thread& worker : workers) worker.join();
+  ASSERT_FALSE(HasFatalFailure());
   EXPECT_GT(snapshots, 0);
 
   // Quiesce: everything started has completed and the ring agrees.

@@ -2,9 +2,14 @@
 
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
+
+#include "server/frame.h"
 
 namespace corrob {
 namespace server {
@@ -169,25 +174,6 @@ TEST(ProtocolTest, DuplicateOptionKeysRejected) {
   EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(ProtocolTest, VersionOneRequestsStillDecode) {
-  // Daemons speak v2 but accept the v1 request layout from older
-  // clients: no tenant, no options.
-  CorroborateRequest request;
-  request.priority = Priority::kInteractive;
-  request.dataset = "flights";
-  request.algorithm = "TwoEstimate";
-  request.timeout_ms = 250;
-  request.tenant = "ignored-at-v1";
-  request.options = {{"also", "ignored"}};
-  const std::string wire = EncodeCorroborateRequest(request, 1);
-  Result<CorroborateRequest> decoded = DecodeCorroborateRequest(wire);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded.ValueOrDie().dataset, "flights");
-  EXPECT_EQ(decoded.ValueOrDie().timeout_ms, 250u);
-  EXPECT_TRUE(decoded.ValueOrDie().tenant.empty());
-  EXPECT_TRUE(decoded.ValueOrDie().options.empty());
-}
-
 TEST(ProtocolTest, QuotaExceededRoundTrip) {
   QuotaExceededResponse response;
   response.retry_after_ms = 1250;
@@ -324,7 +310,7 @@ TEST(ProtocolTest, HugeVectorCountRejectedWithoutAllocation) {
   EXPECT_EQ(decoded.status().code(), StatusCode::kParseError);
 }
 
-TEST(ProtocolTest, RequestIdRoundTripsAtVersionThree) {
+TEST(ProtocolTest, RequestIdRoundTrips) {
   CorroborateRequest request;
   request.dataset = "flights";
   request.tenant = "alpha";
@@ -333,13 +319,6 @@ TEST(ProtocolTest, RequestIdRoundTripsAtVersionThree) {
       DecodeCorroborateRequest(EncodeCorroborateRequest(request));
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded.ValueOrDie().request_id, "client-42");
-
-  // Encoding at version 2 drops the id; decoding still succeeds and
-  // leaves it empty — the v2 wire format is unchanged.
-  Result<CorroborateRequest> old_wire =
-      DecodeCorroborateRequest(EncodeCorroborateRequest(request, 2));
-  ASSERT_TRUE(old_wire.ok());
-  EXPECT_EQ(old_wire.ValueOrDie().request_id, "");
 }
 
 TEST(ProtocolTest, AttachRequestIdSplicesTrailingIdOntoEveryResponse) {
@@ -349,14 +328,17 @@ TEST(ProtocolTest, AttachRequestIdSplicesTrailingIdOntoEveryResponse) {
   const std::string canonical = EncodeCorroborateResponse(response);
 
   // An empty id must leave the canonical bytes untouched — cache
-  // replays of id-less requests stay byte-identical to v1 responses.
+  // replays of id-less requests stay byte-identical to cold replies.
   std::string untouched = canonical;
   AttachRequestId(&untouched, "");
   EXPECT_EQ(untouched, canonical);
 
+  // Splicing is exactly what the encoder writes for the same id.
   std::string spliced = canonical;
   AttachRequestId(&spliced, "client-42");
-  EXPECT_EQ(static_cast<uint8_t>(spliced[0]), kProtocolVersion);
+  CorroborateResponse with_id = response;
+  with_id.request_id = "client-42";
+  EXPECT_EQ(spliced, EncodeCorroborateResponse(with_id));
   Result<CorroborateResponse> decoded = DecodeCorroborateResponse(spliced);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded.ValueOrDie().request_id, "client-42");
@@ -393,24 +375,6 @@ TEST(ProtocolTest, AttachRequestIdSplicesTrailingIdOntoEveryResponse) {
   EXPECT_EQ(quota_decoded.ValueOrDie().request_id, "client-45");
 }
 
-TEST(ProtocolTest, NonCorroboratePayloadsStayPinnedBelowVersionThree) {
-  // Version 3 means exactly "plus a trailing request id", and only
-  // AttachRequestId produces it: every other payload encoder must
-  // keep emitting its pre-v3 version byte so old decoders still work.
-  EXPECT_LT(static_cast<uint8_t>(
-                EncodeQuotaExceededResponse(QuotaExceededResponse())[0]),
-            3);
-  BatchRequest batch;
-  BatchItem item;
-  item.dataset = "flights";
-  batch.items.push_back(item);
-  EXPECT_LT(static_cast<uint8_t>(EncodeBatchRequest(batch)[0]), 3);
-  EXPECT_LT(static_cast<uint8_t>(EncodeBatchResponse(BatchResponse())[0]), 3);
-  EXPECT_LT(static_cast<uint8_t>(EncodeReloadRequest(ReloadRequest())[0]), 3);
-  EXPECT_LT(static_cast<uint8_t>(EncodeReloadResponse(ReloadResponse())[0]),
-            3);
-}
-
 TEST(ProtocolTest, IntrospectRequestRoundTripAndBounds) {
   IntrospectRequest request;
   request.top_k = 7;
@@ -421,12 +385,6 @@ TEST(ProtocolTest, IntrospectRequestRoundTripAndBounds) {
   EXPECT_EQ(decoded.ValueOrDie().top_k, 7u);
   EXPECT_EQ(decoded.ValueOrDie().max_recent, 42u);
 
-  // Introspection is a v3 frame: older version bytes are rejected.
-  std::string wire = EncodeIntrospectRequest(request);
-  wire[0] = 2;
-  EXPECT_EQ(DecodeIntrospectRequest(wire).status().code(),
-            StatusCode::kFailedPrecondition);
-
   // Truncation anywhere is a parse error.
   const std::string full = EncodeIntrospectRequest(request);
   for (size_t len = 0; len < full.size(); ++len) {
@@ -434,6 +392,162 @@ TEST(ProtocolTest, IntrospectRequestRoundTripAndBounds) {
         DecodeIntrospectRequest(full.substr(0, len)).status().code(),
         StatusCode::kParseError)
         << "truncated at " << len;
+  }
+}
+
+/// One payload codec under test: a valid encoding with every field
+/// set (request ids included), and its decoder chained back into its
+/// encoder, so Encode(Decode(wire)) == wire checks both directions.
+struct PayloadCodec {
+  std::string name;
+  std::string wire;
+  std::function<Result<std::string>(std::string_view)> reencode;
+};
+
+template <typename T>
+PayloadCodec Codec(std::string name, const T& value,
+                   std::string (*encode)(const T&),
+                   Result<T> (*decode)(std::string_view)) {
+  return {std::move(name), encode(value),
+          [encode, decode](std::string_view wire) -> Result<std::string> {
+            CORROB_ASSIGN_OR_RETURN(T decoded, decode(wire));
+            return encode(decoded);
+          }};
+}
+
+std::vector<PayloadCodec> AllPayloadCodecs() {
+  CorroborateRequest request;
+  request.priority = Priority::kInteractive;
+  request.dataset = "flights";
+  request.algorithm = "TwoEstimate";
+  request.timeout_ms = 250;
+  request.max_rounds = 9;
+  request.tenant = "alpha";
+  request.options = {{"k", "v"}};
+  request.request_id = "req-1";
+
+  CorroborateResponse result;
+  result.algorithm = "IncEstHeu";
+  result.termination = 1;
+  result.iterations = 7;
+  result.fact_probability = {0.25, 0.75};
+  result.source_trust = {0.5};
+  result.request_id = "req-2";
+
+  ErrorResponse error;
+  error.code = static_cast<uint8_t>(StatusCode::kNotFound);
+  error.message = "no such dataset";
+  error.request_id = "req-3";
+
+  OverloadedResponse overloaded;
+  overloaded.retry_after_ms = 25;
+  overloaded.queue_depth = 4;
+  overloaded.message = "queue full";
+  overloaded.request_id = "req-4";
+
+  QuotaExceededResponse quota;
+  quota.retry_after_ms = 50;
+  quota.tenant = "alpha";
+  quota.message = "rate limit";
+  quota.request_id = "req-5";
+
+  BatchRequest batch;
+  batch.priority = Priority::kBestEffort;
+  batch.tenant = "alpha";
+  batch.items.resize(2);
+  batch.items[0].dataset = "flights";
+  batch.items[1].dataset = "books";
+  batch.items[1].options = {{"k", "v"}};
+
+  BatchResponse batch_response;
+  batch_response.items = {
+      {static_cast<uint8_t>(FrameType::kResultResponse),
+       EncodeCorroborateResponse(result)},
+      {static_cast<uint8_t>(FrameType::kErrorResponse),
+       EncodeErrorResponse(error)}};
+
+  ReloadRequest reload;
+  reload.dataset = "flights";
+  ReloadResponse reload_response;
+  reload_response.datasets_reloaded = 2;
+  reload_response.generation = 9;
+
+  ApplyDeltaRequest delta;
+  delta.dataset = "flights";
+  WalRecord add_source;
+  add_source.type = WalRecordType::kAddSource;
+  add_source.source = "s9";
+  WalRecord add_vote;
+  add_vote.type = WalRecordType::kAddVote;
+  add_vote.source = "s9";
+  add_vote.fact = "f1";
+  add_vote.vote = Vote::kTrue;
+  delta.deltas = {add_source, add_vote};
+  ApplyDeltaResponse delta_response;
+  delta_response.applied = 2;
+  delta_response.generation = 3;
+
+  IntrospectRequest introspect;
+  introspect.top_k = 3;
+  introspect.max_recent = 5;
+
+  return {
+      Codec("corroborate_request", request, &EncodeCorroborateRequest,
+            &DecodeCorroborateRequest),
+      Codec("corroborate_response", result, &EncodeCorroborateResponse,
+            &DecodeCorroborateResponse),
+      Codec("error_response", error, &EncodeErrorResponse,
+            &DecodeErrorResponse),
+      Codec("overloaded_response", overloaded, &EncodeOverloadedResponse,
+            &DecodeOverloadedResponse),
+      Codec("quota_exceeded_response", quota, &EncodeQuotaExceededResponse,
+            &DecodeQuotaExceededResponse),
+      Codec("batch_request", batch, &EncodeBatchRequest, &DecodeBatchRequest),
+      Codec("batch_response", batch_response, &EncodeBatchResponse,
+            &DecodeBatchResponse),
+      Codec("reload_request", reload, &EncodeReloadRequest,
+            &DecodeReloadRequest),
+      Codec("reload_response", reload_response, &EncodeReloadResponse,
+            &DecodeReloadResponse),
+      Codec("apply_delta_request", delta, &EncodeApplyDeltaRequest,
+            &DecodeApplyDeltaRequest),
+      Codec("apply_delta_response", delta_response,
+            &EncodeApplyDeltaResponse, &DecodeApplyDeltaResponse),
+      Codec("introspect_request", introspect, &EncodeIntrospectRequest,
+            &DecodeIntrospectRequest),
+  };
+}
+
+TEST(ProtocolTest, EveryPayloadCodecSpeaksExactlyTheProtocolVersion) {
+  for (const PayloadCodec& codec : AllPayloadCodecs()) {
+    SCOPED_TRACE(codec.name);
+    ASSERT_FALSE(codec.wire.empty());
+    EXPECT_EQ(static_cast<uint8_t>(codec.wire[0]), kProtocolVersion);
+    Result<std::string> again = codec.reencode(codec.wire);
+    ASSERT_TRUE(again.ok()) << again.status().ToString();
+    EXPECT_EQ(again.ValueOrDie(), codec.wire);
+
+    // Any other version byte is a typed skew, never a misparse.
+    for (const int skew : {-1, 1}) {
+      std::string skewed = codec.wire;
+      skewed[0] = static_cast<char>(kProtocolVersion + skew);
+      EXPECT_EQ(codec.reencode(skewed).status().code(),
+                StatusCode::kFailedPrecondition)
+          << "version " << kProtocolVersion + skew;
+    }
+  }
+}
+
+TEST(ProtocolTest, EveryPayloadCodecRejectsTruncationAndTrailingBytes) {
+  for (const PayloadCodec& codec : AllPayloadCodecs()) {
+    SCOPED_TRACE(codec.name);
+    for (size_t length = 0; length < codec.wire.size(); ++length) {
+      EXPECT_EQ(codec.reencode(codec.wire.substr(0, length)).status().code(),
+                StatusCode::kParseError)
+          << "truncated at " << length;
+    }
+    EXPECT_EQ(codec.reencode(codec.wire + "x").status().code(),
+              StatusCode::kParseError);
   }
 }
 

@@ -19,6 +19,7 @@
 #include "server/client.h"
 #include "server/frame.h"
 #include "server/protocol.h"
+#include "testing/temp_dir.h"
 
 // End-to-end corrobd tests: a daemon per test on a private socket in
 // TempDir, driven through CorrobClient. Deterministic in-flight
@@ -81,10 +82,7 @@ class Daemon {
 class CorrobdServerTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    const ::testing::TestInfo* info =
-        ::testing::UnitTest::GetInstance()->current_test_info();
-    const std::string stem =
-        ::testing::TempDir() + "/corrobd_" + info->name();
+    const std::string stem = testutil::TestTempPath("corrobd_daemon");
     csv_path_ = stem + ".csv";
     socket_path_ = stem + ".sock";
     const MotivatingExample example = MakeMotivatingExample();

@@ -1,4 +1,3 @@
-#include <algorithm>
 #include <memory>
 #include <string>
 #include <thread>
@@ -15,6 +14,7 @@
 #include "server/client.h"
 #include "server/protocol.h"
 #include "server/server.h"
+#include "testing/temp_dir.h"
 
 // The serving-equivalence harness: every path corrobd can answer a
 // corroborate request through — a cold run, a result-cache hit, a
@@ -86,11 +86,7 @@ class Daemon {
 class ServingEquivalenceTest : public ::testing::TestWithParam<int> {
  protected:
   void SetUp() override {
-    const ::testing::TestInfo* info =
-        ::testing::UnitTest::GetInstance()->current_test_info();
-    std::string tag = info->name();  // "Case/0" for TEST_P instances
-    std::replace(tag.begin(), tag.end(), '/', '_');
-    const std::string stem = ::testing::TempDir() + "/equiv_" + tag;
+    const std::string stem = testutil::TestTempPath("equiv");
     csv_path_ = stem + ".csv";
     socket_path_ = stem + ".sock";
     const MotivatingExample example = MakeMotivatingExample();
@@ -355,7 +351,7 @@ INSTANTIATE_TEST_SUITE_P(RunThreads, ServingEquivalenceTest,
 /// corroborator's intra-run parallelism either. (Not parameterized —
 /// this is the comparison *between* the parameter values.)
 TEST(ServingEquivalenceCrossThreadTest, OneAndFourThreadsAgreeByteForByte) {
-  const std::string stem = ::testing::TempDir() + "/equiv_cross";
+  const std::string stem = testutil::TestTempPath("equiv_cross");
   const MotivatingExample example = MakeMotivatingExample();
   ASSERT_TRUE(SaveDatasetCsv(stem + ".csv", example.dataset).ok());
 

@@ -17,6 +17,7 @@
 #include "data/wal.h"
 #include "server/client.h"
 #include "server/server.h"
+#include "testing/temp_dir.h"
 
 // Durable delta ingestion end to end: apply-delta changes the served
 // answers and bumps the generation, acked deltas survive a daemon
@@ -86,10 +87,7 @@ void RemoveTree(const std::string& dir) {
 class WalServingTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    const ::testing::TestInfo* info =
-        ::testing::UnitTest::GetInstance()->current_test_info();
-    const std::string stem =
-        ::testing::TempDir() + "/wal_serving_" + info->name();
+    const std::string stem = testutil::TestTempPath("wal_serving");
     csv_path_ = stem + ".csv";
     socket_path_ = stem + ".sock";
     wal_dir_ = stem + ".wal";

@@ -51,6 +51,10 @@ we want flagged before a compiler ever runs):
                         Retry) made lexically inside a RAII lock scope.
                         Blocking while holding a mutex stalls every other
                         thread that needs it.
+  tempdir-literal       A string literal joined to ::testing::TempDir().
+                        ctest runs tests as parallel processes, so a fixed
+                        name there is shared between them; use
+                        tests/testing/temp_dir.h instead.
 
 Suppression grammar (same line as the violation, or alone on the line
 directly above it):
@@ -58,7 +62,7 @@ directly above it):
     // lint: <tag>-ok: <reason>
 
 where <tag> is one of discard, nondet, io, new, include, guard, mutex,
-lock, cvwait, blocking and <reason> is non-empty free text. Example:
+lock, cvwait, blocking, tempdir and <reason> is non-empty free text. Example:
 
     (void)Failpoints::Disarm(name);  // lint: discard-ok: best-effort cleanup
 
@@ -92,6 +96,7 @@ RULES = {
     "manual-lock": "manual .lock()/.unlock() instead of an RAII lock",
     "cv-wait-predicate": "condition_variable wait without a predicate",
     "blocking-under-lock": "blocking call made while a RAII lock is held",
+    "tempdir-literal": "fixed file name under the shared gtest TempDir()",
 }
 
 # Suppression tag accepted by each suppressible rule.
@@ -108,6 +113,7 @@ RULE_TAG = {
     "manual-lock": "lock",
     "cv-wait-predicate": "cvwait",
     "blocking-under-lock": "blocking",
+    "tempdir-literal": "tempdir",
 }
 KNOWN_TAGS = set(RULE_TAG.values())
 
@@ -477,6 +483,10 @@ NOLINT_OK_RE = re.compile(r"^\(([^)]+)\)\s*:?\s*\S+")
 
 GUARD_EXEMPT_SUFFIXES = ("-inl.h",)
 
+# Literals are blanked to "" by the lexer; `/` covers filesystem::path
+# joins, and the match may span lines.
+TEMPDIR_LITERAL_RE = re.compile(r'\bTempDir\(\s*\)\s*\)?\s*[+/]\s*"')
+
 
 def check_text_rules(sf: SourceFile, sup: Suppressions, out: list[Violation]):
     path = sf.path
@@ -542,6 +552,16 @@ def check_text_rules(sf: SourceFile, sup: Suppressions, out: list[Violation]):
     # guard-style for headers.
     if is_header and not path.endswith(GUARD_EXEMPT_SUFFIXES):
         check_guard(sf, sup, out)
+
+    code = "\n".join(sf.code_lines)
+    for m in TEMPDIR_LITERAL_RE.finditer(code):
+        lineno = code.count("\n", 0, m.start()) + 1
+        if not sup.active("tempdir-literal", lineno):
+            out.append(Violation(
+                path, lineno, "tempdir-literal",
+                "fixed name under ::testing::TempDir() is shared by tests "
+                "running in parallel; use testutil::TestTempPath "
+                "(tests/testing/temp_dir.h)"))
 
 
 def expected_guard(path: str) -> str:

@@ -55,6 +55,9 @@ EXPECTED = [
     ("src/server/bad_manual_lock.cc", 21, "manual-lock"),
     ("src/server/bad_unguarded_mutex.h", 19, "unguarded-mutex"),
     ("src/server/bad_unguarded_mutex.h", 24, "unguarded-mutex"),
+    ("tests/bad_temp_dir_test.cc", 8, "tempdir-literal"),
+    ("tests/bad_temp_dir_test.cc", 12, "tempdir-literal"),
+    ("tests/bad_temp_dir_test.cc", 17, "tempdir-literal"),
 ]
 
 

@@ -11,7 +11,7 @@
 // carries the whole curve.
 //
 // Every request carries a client-generated id ("lg<level>-<seq>")
-// that the daemon echoes back (protocol v3) and keeps in its flight
+// that the daemon echoes back and keeps in its flight
 // recorder. At the end of each level the generator fetches the
 // introspection document and joins the two views by id, reporting
 // client-observed vs server-side p50 and their delta — the time spent
