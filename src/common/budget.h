@@ -108,7 +108,8 @@ class Deadline {
 struct ResourceBudget {
   /// Maximum fixpoint iterations / Gibbs sweeps / IncEstimate rounds.
   int64_t max_rounds = 0;
-  /// Maximum resident bytes of the per-run VoteMatrix (CSR + CSC).
+  /// Maximum bytes of the dataset's vote arrays (CSR + CSC,
+  /// Dataset::VoteBytes()) a run may read.
   int64_t max_vote_matrix_bytes = 0;
   /// Maximum facts an IncEstimate round may commit before the round
   /// is forced to end (bounds per-round latency and commit bursts).

@@ -10,17 +10,6 @@ std::vector<bool> CorroborationResult::Decisions() const {
   return out;
 }
 
-double CorrobScore(std::span<const SourceVote> votes,
-                   const std::vector<double>& trust) {
-  if (votes.empty()) return 0.5;
-  double sum = 0.0;
-  for (const SourceVote& sv : votes) {
-    double t = trust[static_cast<size_t>(sv.source)];
-    sum += sv.vote == Vote::kTrue ? t : 1.0 - t;
-  }
-  return sum / static_cast<double>(votes.size());
-}
-
 std::vector<double> TrustAgainstDecisions(const Dataset& dataset,
                                           const std::vector<bool>& decisions,
                                           double no_vote_value) {

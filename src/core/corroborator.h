@@ -95,8 +95,18 @@ class Corroborator {
 /// The corroboration score of paper Eq. 5, generalized to F votes:
 /// the mean over voters of σ(s) for a T vote and 1-σ(s) for an F
 /// vote. Facts with no votes score 0.5 (maximum uncertainty).
-double CorrobScore(std::span<const SourceVote> votes,
-                   const std::vector<double>& trust);
+/// `votes` is any sized range of SourceVote: a Dataset row, or a
+/// fact group's signature.
+template <typename Votes = std::span<const SourceVote>>
+double CorrobScore(const Votes& votes, const std::vector<double>& trust) {
+  if (votes.empty()) return 0.5;
+  double sum = 0.0;
+  for (const SourceVote& sv : votes) {
+    double t = trust[static_cast<size_t>(sv.source)];
+    sum += sv.vote == Vote::kTrue ? t : 1.0 - t;
+  }
+  return sum / static_cast<double>(votes.size());
+}
 
 /// Trust of every source computed against fixed fact decisions: the
 /// fraction of the source's votes that agree with the decisions

@@ -36,7 +36,7 @@ Result<CorroborationResult> CosineCorroborator::Run(
   auto telemetry =
       MaybeStartTelemetry(options_.collect_telemetry, name(), dataset);
 
-  auto vote_sign = [](uint8_t is_true) { return is_true ? 1.0 : -1.0; };
+  auto vote_sign = [](Vote vote) { return vote == Vote::kTrue ? 1.0 : -1.0; };
   // `value` is rewritten in place by the truth sweep; snapshot it so a
   // mid-sweep interruption hands back the last completed iteration.
   const StopSignal* stop = context.sweep_stop();
@@ -44,7 +44,7 @@ Result<CorroborationResult> CosineCorroborator::Run(
 
   Termination termination = Termination::kIterationCap;
   int iteration = 0;
-  const auto over_budget = context.CheckMatrixBytes(matrix.ResidentBytes());
+  const auto over_budget = context.CheckMatrixBytes(dataset.VoteBytes());
   if (over_budget) termination = *over_budget;
   for (; !over_budget && iteration < options_.max_iterations; ++iteration) {
     if (auto interrupt = context.CheckIterationBoundary(iteration)) {
@@ -62,14 +62,14 @@ Result<CorroborationResult> CosineCorroborator::Run(
         value[static_cast<size_t>(f)] = 0.0;
         return;
       }
-      auto is_true = matrix.FactVotesTrue(f);
+      auto votes = matrix.FactVotes(f);
       double numerator = 0.0;
       double denominator = 0.0;
       for (size_t k = 0; k < voters.size(); ++k) {
         const double t = trust[static_cast<size_t>(voters[k])];
         const double w = std::copysign(
             std::pow(std::fabs(t), options_.trust_power), t);
-        numerator += vote_sign(is_true[k]) * w;
+        numerator += vote_sign(votes[k]) * w;
         denominator += std::fabs(w);
       }
       value[static_cast<size_t>(f)] =
@@ -88,12 +88,12 @@ Result<CorroborationResult> CosineCorroborator::Run(
           [&](SourceId s) {
       auto voted = matrix.SourceFacts(s);
       if (voted.empty()) return;
-      auto is_true = matrix.SourceVotesTrue(s);
+      auto votes = matrix.SourceVotes(s);
       double dot = 0.0;
       double value_norm_sq = 0.0;
       for (size_t k = 0; k < voted.size(); ++k) {
         const double v = value[static_cast<size_t>(voted[k])];
-        dot += vote_sign(is_true[k]) * v;
+        dot += vote_sign(votes[k]) * v;
         value_norm_sq += v * v;
       }
       const double vote_norm = std::sqrt(static_cast<double>(voted.size()));

@@ -1,7 +1,6 @@
 #include "core/delta_apply.h"
 
 #include <string>
-#include <unordered_map>
 #include <utility>
 
 #include "data/dataset_io.h"
@@ -10,68 +9,32 @@ namespace corrob {
 
 Result<Dataset> ApplyDeltasToDataset(const Dataset& base,
                                      std::span<const WalRecord> deltas) {
-  DatasetBuilder builder;
-  // Name -> id maps mirroring the builder's assignment; DatasetBuilder
-  // has no name lookup of its own and SetVoteByName would register
-  // names that a retraction must not create.
-  std::unordered_map<std::string, SourceId> sources;
-  std::unordered_map<std::string, FactId> facts;
-  sources.reserve(static_cast<size_t>(base.num_sources()));
-  facts.reserve(static_cast<size_t>(base.num_facts()));
-
-  // Re-register the base in id order so the rebuilt ids match.
-  for (SourceId s = 0; s < base.num_sources(); ++s) {
-    sources.emplace(base.source_name(s), builder.AddSource(base.source_name(s)));
-  }
-  for (FactId f = 0; f < base.num_facts(); ++f) {
-    facts.emplace(base.fact_name(f), builder.AddFact(base.fact_name(f)));
-  }
-  for (SourceId s = 0; s < base.num_sources(); ++s) {
-    for (const FactVote& fact_vote : base.VotesBySource(s)) {
-      CORROB_RETURN_NOT_OK(builder.SetVote(s, fact_vote.fact, fact_vote.vote));
-    }
-  }
-
+  DatasetBuilder builder(base);
   for (size_t i = 0; i < deltas.size(); ++i) {
     const WalRecord& record = deltas[i];
     switch (record.type) {
-      case WalRecordType::kAddSource: {
-        sources.emplace(record.source, builder.AddSource(record.source));
+      case WalRecordType::kAddSource:
+        builder.AddSource(record.source);
         break;
-      }
       case WalRecordType::kAddVote: {
         if (record.vote == Vote::kNone) {
           return Status::InvalidArgument(
               "delta " + std::to_string(i) +
               ": add-vote carries '-'; use retract-vote to erase");
         }
-        SourceId s;
-        auto source_it = sources.find(record.source);
-        if (source_it != sources.end()) {
-          s = source_it->second;
-        } else {
-          s = builder.AddSource(record.source);
-          sources.emplace(record.source, s);
-        }
-        FactId f;
-        auto fact_it = facts.find(record.fact);
-        if (fact_it != facts.end()) {
-          f = fact_it->second;
-        } else {
-          f = builder.AddFact(record.fact);
-          facts.emplace(record.fact, f);
-        }
+        const SourceId s = builder.AddSource(record.source);
+        const FactId f = builder.AddFact(record.fact);
         CORROB_RETURN_NOT_OK(builder.SetVote(s, f, record.vote));
         break;
       }
       case WalRecordType::kRetractVote: {
-        auto source_it = sources.find(record.source);
-        auto fact_it = facts.find(record.fact);
-        if (source_it == sources.end() || fact_it == facts.end()) {
-          break;  // retracting a vote that never existed is a no-op
-        }
+        // Looked up, not registered: retracting a vote that never
+        // existed is a no-op.
+        auto s = builder.FindSource(record.source);
+        auto f = builder.FindFact(record.fact);
+        if (!s.ok() || !f.ok()) break;
         CORROB_RETURN_NOT_OK(
-            builder.SetVote(source_it->second, fact_it->second, Vote::kNone));
+            builder.SetVote(s.ValueOrDie(), f.ValueOrDie(), Vote::kNone));
         break;
       }
       case WalRecordType::kSnapshotMarker:

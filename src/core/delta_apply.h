@@ -13,11 +13,11 @@ namespace corrob {
 /// Applies a sequence of WAL vote deltas to an immutable base dataset,
 /// producing a fresh Dataset.
 ///
-/// The rebuild goes through DatasetBuilder re-registering the base's
-/// sources and facts in id order, so ids — and therefore every CSR
-/// array, signature key and VoteMatrix derived from the result — are
-/// bit-identical to a single batch build that saw the same names in
-/// the same order followed by the same final votes. That is the
+/// The rebuild seeds a DatasetBuilder with the base's name tables and
+/// rows, so ids — and therefore every CSR/CSC array and signature key
+/// derived from the result — are bit-identical to a single batch
+/// build that saw the same names in the same order followed by the
+/// same final votes. That is the
 /// metamorphic contract the WAL tests pin: replaying any surviving
 /// prefix of deltas after a crash equals rebuilding from scratch with
 /// that prefix.

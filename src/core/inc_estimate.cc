@@ -15,18 +15,6 @@ namespace corrob {
 
 namespace {
 
-/// Eq. 5 score of a signature under a given trust assignment.
-double SignatureScore(const std::vector<SourceVote>& signature,
-                      const std::vector<double>& trust) {
-  if (signature.empty()) return 0.5;
-  double sum = 0.0;
-  for (const SourceVote& sv : signature) {
-    double t = trust[static_cast<size_t>(sv.source)];
-    sum += sv.vote == Vote::kTrue ? t : 1.0 - t;
-  }
-  return sum / static_cast<double>(signature.size());
-}
-
 /// Renders a group signature as "s1=T,s2=F" (source names from the
 /// dataset) for the telemetry stream and `corrob explain`.
 std::string RenderSignature(const Dataset& dataset,
@@ -86,7 +74,7 @@ IncrementalEngine::IncrementalEngine(const Dataset& dataset,
 }
 
 double IncrementalEngine::GroupProbability(int32_t g) const {
-  return SignatureScore(groups_[static_cast<size_t>(g)].signature, trust_);
+  return CorrobScore(groups_[static_cast<size_t>(g)].signature, trust_);
 }
 
 bool IncrementalEngine::ComputeGroupProbabilities(
@@ -96,7 +84,7 @@ bool IncrementalEngine::ComputeGroupProbabilities(
   return ParallelApply(pool, static_cast<int64_t>(groups_.size()),
                        [this, probs](int64_t begin, int64_t end) {
                          for (int64_t g = begin; g < end; ++g) {
-                           (*probs)[static_cast<size_t>(g)] = SignatureScore(
+                           (*probs)[static_cast<size_t>(g)] = CorrobScore(
                                groups_[static_cast<size_t>(g)].signature,
                                trust_);
                          }
@@ -114,7 +102,7 @@ double IncrementalEngine::EntropyDelta(int32_t g,
   if (group.remaining() == 0) return 0.0;
 
   // Decision the commit would take, under the current trust.
-  const double p = SignatureScore(group.signature, trust_);
+  const double p = CorrobScore(group.signature, trust_);
   const bool decision = p >= kDecisionThreshold;
   const double committed = static_cast<double>(group.remaining());
 
@@ -147,9 +135,9 @@ double IncrementalEngine::EntropyDelta(int32_t g,
       scratch->visit_stamp[oi] = scratch->stamp;
       const FactGroup& other_group = groups_[oi];
       if (other_group.remaining() == 0) continue;
-      double before = SignatureScore(other_group.signature, trust_);
+      double before = CorrobScore(other_group.signature, trust_);
       double after =
-          SignatureScore(other_group.signature, scratch->projected);
+          CorrobScore(other_group.signature, scratch->projected);
       delta += static_cast<double>(other_group.remaining()) *
                (BinaryEntropy(after) - BinaryEntropy(before));
     }
@@ -162,7 +150,7 @@ int64_t IncrementalEngine::CommitGroup(int32_t g, int64_t n) {
   int64_t take = std::min<int64_t>(n, static_cast<int64_t>(group.remaining()));
   if (take <= 0) return 0;
 
-  const double p = SignatureScore(group.signature, trust_);
+  const double p = CorrobScore(group.signature, trust_);
   const bool decision = p >= kDecisionThreshold;
   for (int64_t i = 0; i < take; ++i) {
     FactId f = group.facts[group.committed + static_cast<size_t>(i)];

@@ -102,9 +102,9 @@ Termination RunContext::SweepInterruption() const {
 }
 
 std::optional<Termination> RunContext::CheckMatrixBytes(
-    int64_t resident_bytes) const {
+    int64_t vote_bytes) const {
   if (budget_.max_vote_matrix_bytes > 0 &&
-      resident_bytes > budget_.max_vote_matrix_bytes) {
+      vote_bytes > budget_.max_vote_matrix_bytes) {
     RecordInterruption(Termination::kBudgetExhausted);
     return Termination::kBudgetExhausted;
   }

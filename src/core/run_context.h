@@ -102,8 +102,9 @@ class RunContext {
   Termination SweepInterruption() const;
 
   /// Enforces the vote-matrix byte cap: kBudgetExhausted when
-  /// `resident_bytes` exceeds a configured max_vote_matrix_bytes.
-  std::optional<Termination> CheckMatrixBytes(int64_t resident_bytes) const;
+  /// `vote_bytes` (Dataset::VoteBytes()) exceeds a configured
+  /// max_vote_matrix_bytes.
+  std::optional<Termination> CheckMatrixBytes(int64_t vote_bytes) const;
 
  private:
   StopSignal stop_;

@@ -44,7 +44,7 @@ Result<CorroborationResult> ThreeEstimateCorroborator::Run(
 
   Termination termination = Termination::kIterationCap;
   int iteration = 0;
-  const auto over_budget = context.CheckMatrixBytes(matrix.ResidentBytes());
+  const auto over_budget = context.CheckMatrixBytes(dataset.VoteBytes());
   if (over_budget) termination = *over_budget;
   for (; !over_budget && iteration < options_.max_iterations; ++iteration) {
     if (auto interrupt = context.CheckIterationBoundary(iteration)) {
@@ -68,13 +68,13 @@ Result<CorroborationResult> ThreeEstimateCorroborator::Run(
             probability[static_cast<size_t>(f)] = 0.5;
             return;
           }
-          auto is_true = matrix.FactVotesTrue(f);
+          auto votes = matrix.FactVotes(f);
           const double eps = difficulty[static_cast<size_t>(f)];
           double sum = 0.0;
           for (size_t k = 0; k < voters.size(); ++k) {
             const double correct =
                 1.0 - eps * (1.0 - trust[static_cast<size_t>(voters[k])]);
-            sum += is_true[k] ? correct : 1.0 - correct;
+            sum += votes[k] == Vote::kTrue ? correct : 1.0 - correct;
           }
           probability[static_cast<size_t>(f)] =
               sum / static_cast<double>(voters.size());
@@ -92,12 +92,12 @@ Result<CorroborationResult> ThreeEstimateCorroborator::Run(
           [&](FactId f) {
             auto voters = matrix.FactSources(f);
             if (voters.empty()) return;
-            auto is_true = matrix.FactVotesTrue(f);
+            auto votes = matrix.FactVotes(f);
             const bool decision = probability[static_cast<size_t>(f)] >= 0.5;
             double wrong = 0.0;
             double capacity = 0.0;
             for (size_t k = 0; k < voters.size(); ++k) {
-              if ((is_true[k] != 0) != decision) wrong += 1.0;
+              if ((votes[k] == Vote::kTrue) != decision) wrong += 1.0;
               capacity += 1.0 - trust[static_cast<size_t>(voters[k])];
             }
             next_difficulty[static_cast<size_t>(f)] =
@@ -117,13 +117,13 @@ Result<CorroborationResult> ThreeEstimateCorroborator::Run(
           [&](SourceId s) {
             auto voted = matrix.SourceFacts(s);
             if (voted.empty()) return;
-            auto is_true = matrix.SourceVotesTrue(s);
+            auto votes = matrix.SourceVotes(s);
             double wrong = 0.0;
             double capacity = 0.0;
             for (size_t k = 0; k < voted.size(); ++k) {
               const bool decision =
                   probability[static_cast<size_t>(voted[k])] >= 0.5;
-              if ((is_true[k] != 0) != decision) wrong += 1.0;
+              if ((votes[k] == Vote::kTrue) != decision) wrong += 1.0;
               capacity += difficulty[static_cast<size_t>(voted[k])];
             }
             next_trust[static_cast<size_t>(s)] =

@@ -44,7 +44,7 @@ Result<CorroborationResult> TruthFinderCorroborator::Run(
 
   Termination termination = Termination::kIterationCap;
   int iteration = 0;
-  const auto over_budget = context.CheckMatrixBytes(matrix.ResidentBytes());
+  const auto over_budget = context.CheckMatrixBytes(dataset.VoteBytes());
   if (over_budget) termination = *over_budget;
   for (; !over_budget && iteration < options_.max_iterations; ++iteration) {
     if (auto interrupt = context.CheckIterationBoundary(iteration)) {
@@ -61,14 +61,14 @@ Result<CorroborationResult> TruthFinderCorroborator::Run(
         probability[static_cast<size_t>(f)] = 0.5;
         return;
       }
-      auto is_true = matrix.FactVotesTrue(f);
+      auto votes = matrix.FactVotes(f);
       double score_true = 0.0;
       double score_false = 0.0;
       for (size_t k = 0; k < voters.size(); ++k) {
         const double tau = -std::log(
             Clamp(1.0 - trust[static_cast<size_t>(voters[k])],
                   options_.epsilon, 1.0));
-        (is_true[k] ? score_true : score_false) += tau;
+        (votes[k] == Vote::kTrue ? score_true : score_false) += tau;
       }
       const double adjusted_true =
           score_true - options_.exclusion_weight * score_false;
@@ -90,11 +90,11 @@ Result<CorroborationResult> TruthFinderCorroborator::Run(
           [&](SourceId s) {
       auto voted = matrix.SourceFacts(s);
       if (voted.empty()) return;
-      auto is_true = matrix.SourceVotesTrue(s);
+      auto votes = matrix.SourceVotes(s);
       double sum = 0.0;
       for (size_t k = 0; k < voted.size(); ++k) {
         const double p = probability[static_cast<size_t>(voted[k])];
-        sum += is_true[k] ? p : 1.0 - p;
+        sum += votes[k] == Vote::kTrue ? p : 1.0 - p;
       }
       next_trust[static_cast<size_t>(s)] =
           sum / static_cast<double>(voted.size());

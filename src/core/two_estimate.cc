@@ -58,7 +58,7 @@ Result<CorroborationResult> TwoEstimateCorroborator::Run(
 
   Termination termination = Termination::kIterationCap;
   int iteration = 0;
-  const auto over_budget = context.CheckMatrixBytes(matrix.ResidentBytes());
+  const auto over_budget = context.CheckMatrixBytes(dataset.VoteBytes());
   if (over_budget) termination = *over_budget;
   for (; !over_budget && iteration < options_.max_iterations; ++iteration) {
     if (auto interrupt = context.CheckIterationBoundary(iteration)) {
@@ -84,11 +84,11 @@ Result<CorroborationResult> TwoEstimateCorroborator::Run(
           [&](SourceId s) {
             auto voted = matrix.SourceFacts(s);
             if (voted.empty()) return;
-            auto is_true = matrix.SourceVotesTrue(s);
+            auto votes = matrix.SourceVotes(s);
             double sum = 0.0;
             for (size_t k = 0; k < voted.size(); ++k) {
               const double p = probability[static_cast<size_t>(voted[k])];
-              sum += is_true[k] ? p : 1.0 - p;
+              sum += votes[k] == Vote::kTrue ? p : 1.0 - p;
             }
             next_trust[static_cast<size_t>(s)] =
                 sum / static_cast<double>(voted.size());

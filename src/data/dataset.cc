@@ -6,28 +6,40 @@
 
 namespace corrob {
 
-Result<SourceId> Dataset::FindSource(const std::string& name) const {
-  auto it = source_index_.find(name);
-  if (it == source_index_.end()) {
-    return Status::NotFound("no source named '" + name + "'");
+namespace {
+
+Result<int32_t> Lookup(const std::unordered_map<std::string, int32_t>& index,
+                       const char* kind, const std::string& name) {
+  auto it = index.find(name);
+  if (it == index.end()) {
+    return Status::NotFound(std::string("no ") + kind + " named '" + name +
+                            "'");
   }
   return it->second;
+}
+
+}  // namespace
+
+Result<SourceId> Dataset::FindSource(const std::string& name) const {
+  return Lookup(source_index_, "source", name);
 }
 
 Result<FactId> Dataset::FindFact(const std::string& name) const {
-  auto it = fact_index_.find(name);
-  if (it == fact_index_.end()) {
-    return Status::NotFound("no fact named '" + name + "'");
-  }
-  return it->second;
+  return Lookup(fact_index_, "fact", name);
+}
+
+int64_t Dataset::VoteBytes() const {
+  const size_t offsets = fact_offsets_.size() + source_offsets_.size();
+  const size_t entry = sizeof(int32_t) + sizeof(Vote);  // id + vote
+  return static_cast<int64_t>(offsets * sizeof(size_t) +
+                              2 * fact_sources_.size() * entry);
 }
 
 Vote Dataset::GetVote(SourceId s, FactId f) const {
-  auto votes = VotesOnFact(f);
-  auto it = std::lower_bound(
-      votes.begin(), votes.end(), s,
-      [](const SourceVote& sv, SourceId id) { return sv.source < id; });
-  if (it != votes.end() && it->source == s) return it->vote;
+  auto row = VotesOnFact(f);
+  auto sources = row.ids();
+  auto it = std::lower_bound(sources.begin(), sources.end(), s);
+  if (it != sources.end() && *it == s) return row[it - sources.begin()].vote;
   return Vote::kNone;
 }
 
@@ -58,6 +70,26 @@ std::string Dataset::SignatureKey(FactId f) const {
     key += VoteToChar(sv.vote);
   }
   return key;
+}
+
+DatasetBuilder::DatasetBuilder(const Dataset& base)
+    : source_names_(base.source_names_),
+      fact_names_(base.fact_names_),
+      source_index_(base.source_index_),
+      fact_index_(base.fact_index_) {
+  votes_per_fact_.reserve(fact_names_.size());
+  for (FactId f = 0; f < base.num_facts(); ++f) {
+    auto row = base.VotesOnFact(f);
+    votes_per_fact_.emplace_back(row.begin(), row.end());
+  }
+}
+
+Result<SourceId> DatasetBuilder::FindSource(const std::string& name) const {
+  return Lookup(source_index_, "source", name);
+}
+
+Result<FactId> DatasetBuilder::FindFact(const std::string& name) const {
+  return Lookup(fact_index_, "fact", name);
 }
 
 SourceId DatasetBuilder::AddSource(const std::string& name) {
@@ -128,43 +160,47 @@ Dataset DatasetBuilder::Build() {
   out.source_index_ = std::move(source_index_);
   out.fact_index_ = std::move(fact_index_);
 
-  const int32_t facts = out.num_facts();
-  const int32_t sources = out.num_sources();
+  const size_t facts = static_cast<size_t>(out.num_facts());
+  const size_t sources = static_cast<size_t>(out.num_sources());
 
-  out.fact_offsets_.assign(static_cast<size_t>(facts) + 1, 0);
-  size_t total = 0;
-  for (int32_t f = 0; f < facts; ++f) {
+  // CSR by fact, each row sorted by source id; count each column too.
+  out.fact_offsets_.assign(facts + 1, 0);
+  out.source_offsets_.assign(sources + 1, 0);
+  for (size_t f = 0; f < facts; ++f) {
     auto& row = votes_per_fact_[f];
     std::sort(row.begin(), row.end(),
               [](const SourceVote& a, const SourceVote& b) {
                 return a.source < b.source;
               });
-    out.fact_offsets_[f] = total;
-    total += row.size();
+    out.fact_offsets_[f + 1] = out.fact_offsets_[f] + row.size();
+    for (const SourceVote& sv : row) {
+      ++out.source_offsets_[static_cast<size_t>(sv.source) + 1];
+    }
   }
-  out.fact_offsets_[facts] = total;
-  out.num_votes_ = static_cast<int64_t>(total);
-
+  const size_t total = out.fact_offsets_[facts];
+  out.fact_sources_.reserve(total);
   out.fact_votes_.reserve(total);
-  std::vector<size_t> per_source_count(static_cast<size_t>(sources), 0);
-  for (int32_t f = 0; f < facts; ++f) {
-    for (const SourceVote& sv : votes_per_fact_[f]) {
-      out.fact_votes_.push_back(sv);
-      ++per_source_count[static_cast<size_t>(sv.source)];
+  for (const auto& row : votes_per_fact_) {
+    for (const SourceVote& sv : row) {
+      out.fact_sources_.push_back(sv.source);
+      out.fact_votes_.push_back(sv.vote);
     }
   }
 
-  out.source_offsets_.assign(static_cast<size_t>(sources) + 1, 0);
-  for (int32_t s = 0; s < sources; ++s) {
-    out.source_offsets_[s + 1] = out.source_offsets_[s] + per_source_count[s];
+  // CSC by source: scattering the rows in fact order leaves every
+  // column in ascending fact id.
+  for (size_t s = 0; s < sources; ++s) {
+    out.source_offsets_[s + 1] += out.source_offsets_[s];
   }
+  out.source_facts_.resize(total);
   out.source_votes_.resize(total);
   std::vector<size_t> cursor(out.source_offsets_.begin(),
                              out.source_offsets_.end() - 1);
-  for (int32_t f = 0; f < facts; ++f) {
+  for (size_t f = 0; f < facts; ++f) {
     for (const SourceVote& sv : votes_per_fact_[f]) {
-      out.source_votes_[cursor[static_cast<size_t>(sv.source)]++] =
-          FactVote{f, sv.vote};
+      const size_t at = cursor[static_cast<size_t>(sv.source)]++;
+      out.source_facts_[at] = static_cast<FactId>(f);
+      out.source_votes_[at] = sv.vote;
     }
   }
 

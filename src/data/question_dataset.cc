@@ -22,16 +22,10 @@ QuestionDataset::QuestionDataset(Dataset dataset,
 }
 
 Dataset QuestionDataset::WithNegativeClosure() const {
-  DatasetBuilder builder;
-  for (SourceId s = 0; s < dataset_.num_sources(); ++s) {
-    builder.AddSource(dataset_.source_name(s));
-  }
-  for (FactId f = 0; f < dataset_.num_facts(); ++f) {
-    builder.AddFact(dataset_.fact_name(f));
-  }
-  // First materialize implicit F votes so that explicit votes, applied
-  // second, win any conflicts (a source may legitimately endorse two
-  // answers; the last explicit statement stands).
+  // Seeded with every explicit vote. An implicit F only fills a pair
+  // the source said nothing about, so explicit votes always stand (a
+  // source may legitimately endorse two answers).
+  DatasetBuilder builder(dataset_);
   for (SourceId s = 0; s < dataset_.num_sources(); ++s) {
     for (const FactVote& fv : dataset_.VotesBySource(s)) {
       if (fv.vote != Vote::kTrue) continue;
@@ -42,11 +36,6 @@ Dataset QuestionDataset::WithNegativeClosure() const {
           CORROB_CHECK_OK(builder.SetVote(s, sibling, Vote::kFalse));
         }
       }
-    }
-  }
-  for (SourceId s = 0; s < dataset_.num_sources(); ++s) {
-    for (const FactVote& fv : dataset_.VotesBySource(s)) {
-      CORROB_CHECK_OK(builder.SetVote(s, fv.fact, fv.vote));
     }
   }
   return builder.Build();

@@ -24,9 +24,9 @@
 //
 // Hot paths cache the pointer once:
 //
-//   static Counter* builds =
-//       MetricsRegistry::Global().GetCounter("corrob.vote_matrix.builds");
-//   builds->Add(1);
+//   static Counter* rows =
+//       MetricsRegistry::Global().GetCounter("corrob.csv.rows_loaded");
+//   rows->Add(1);
 
 namespace corrob {
 namespace obs {

@@ -234,6 +234,42 @@ TEST_F(TerminationParityTest, BayesCancelledAtSweepMatchesRoundBudget) {
   });
 }
 
+TEST_F(TerminationParityTest, VoteByteCapIsCheckedAgainstTheDataset) {
+  // The four sweep-based methods read the Dataset's vote arrays, so
+  // max_vote_matrix_bytes is enforced against Dataset::VoteBytes():
+  // one byte under it stops the run before any iteration, exactly at
+  // it the run is untouched.
+  auto context_with_cap = [](int64_t cap) {
+    ResourceBudget budget;
+    budget.max_vote_matrix_bytes = cap;
+    RunContext context;
+    context.WithBudget(budget);
+    return context;
+  };
+  for (const FixpointMethod& method : FixpointMethods()) {
+    if (!method.threaded) continue;  // the four sweep-based methods
+    SCOPED_TRACE(method.name);
+    auto corroborator = method.make(100, 1);
+    ForEachSeed(0xB17E5, 3, [&](uint64_t seed) {
+      Dataset dataset = MakeRandomDataset(seed);
+      const int64_t bytes = dataset.VoteBytes();
+      ASSERT_GT(bytes, 1);
+
+      CorroborationResult under =
+          corroborator->Run(dataset, context_with_cap(bytes - 1))
+              .ValueOrDie();
+      EXPECT_EQ(under.termination, Termination::kBudgetExhausted);
+      EXPECT_EQ(under.iterations, 0);
+
+      CorroborationResult baseline = corroborator->Run(dataset).ValueOrDie();
+      CorroborationResult at_cap =
+          corroborator->Run(dataset, context_with_cap(bytes)).ValueOrDie();
+      EXPECT_EQ(at_cap.termination, Termination::kConverged);
+      ExpectBitIdenticalResults(baseline, at_cap);
+    });
+  }
+}
+
 TEST_F(TerminationParityTest, ArmedButIdleContextIsExactlyLegacy) {
   // A context with a live (never firing) token and a far-future
   // deadline must not perturb a single bit of any method's output:

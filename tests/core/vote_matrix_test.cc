@@ -1,10 +1,12 @@
-// VoteMatrix: the CSR/CSC layouts must mirror the Dataset views
-// entry for entry, and RowScore must be bit-identical to CorrobScore.
+// The Dataset's CSR and CSC must be transposes of each other with
+// ids ascending in every row, VoteMatrix must read those very arrays,
+// and RowScore must be bit-identical to CorrobScore.
 
 #include "core/vote_matrix.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cstdint>
@@ -20,10 +22,11 @@ using proptest::ForEachSeed;
 using proptest::MakeRandomDataset;
 
 TEST(VoteMatrixTest, EmptyDataset) {
-  VoteMatrix matrix((Dataset()));
+  const Dataset dataset;
+  VoteMatrix matrix(dataset);
   EXPECT_EQ(matrix.num_facts(), 0);
   EXPECT_EQ(matrix.num_sources(), 0);
-  EXPECT_EQ(matrix.num_votes(), 0);
+  EXPECT_EQ(dataset.num_votes(), 0);
 }
 
 TEST(VoteMatrixTest, MirrorsDatasetViewsInOrder) {
@@ -32,29 +35,43 @@ TEST(VoteMatrixTest, MirrorsDatasetViewsInOrder) {
     VoteMatrix matrix(dataset);
     ASSERT_EQ(matrix.num_facts(), dataset.num_facts());
     ASSERT_EQ(matrix.num_sources(), dataset.num_sources());
-    ASSERT_EQ(matrix.num_votes(), dataset.num_votes());
 
+    // Every CSR entry (f, s, v) appears in column s; columns are
+    // ascending, so the k-th entry of column s seen in fact order is
+    // the k-th CSC entry.
+    std::vector<size_t> cursor(static_cast<size_t>(dataset.num_sources()), 0);
+    int64_t csr_entries = 0;
     for (FactId f = 0; f < dataset.num_facts(); ++f) {
-      auto expected = dataset.VotesOnFact(f);
-      auto sources = matrix.FactSources(f);
-      auto is_true = matrix.FactVotesTrue(f);
-      ASSERT_EQ(sources.size(), expected.size()) << "fact " << f;
-      ASSERT_EQ(is_true.size(), expected.size()) << "fact " << f;
-      for (size_t k = 0; k < expected.size(); ++k) {
-        EXPECT_EQ(sources[k], expected[k].source);
-        EXPECT_EQ(is_true[k], expected[k].vote == Vote::kTrue ? 1 : 0);
+      auto row = dataset.VotesOnFact(f);
+      auto ids = row.ids();
+      ASSERT_TRUE(std::is_sorted(ids.begin(), ids.end())) << "fact " << f;
+      ASSERT_EQ(std::adjacent_find(ids.begin(), ids.end()), ids.end());
+      ASSERT_EQ(matrix.FactSources(f).data(), ids.data()) << "fact " << f;
+      ASSERT_EQ(matrix.FactVotes(f).data(), row.votes().data());
+      for (const SourceVote& sv : row) {
+        ASSERT_NE(sv.vote, Vote::kNone);
+        auto column = dataset.VotesBySource(sv.source);
+        size_t& k = cursor[static_cast<size_t>(sv.source)];
+        ASSERT_LT(k, column.size()) << "source " << sv.source;
+        EXPECT_EQ(column[k], (FactVote{f, sv.vote})) << "fact " << f;
+        ++k;
+        ++csr_entries;
       }
     }
+    int64_t csc_entries = 0;
     for (SourceId s = 0; s < dataset.num_sources(); ++s) {
-      auto expected = dataset.VotesBySource(s);
-      auto facts = matrix.SourceFacts(s);
-      auto is_true = matrix.SourceVotesTrue(s);
-      ASSERT_EQ(facts.size(), expected.size()) << "source " << s;
-      for (size_t k = 0; k < expected.size(); ++k) {
-        EXPECT_EQ(facts[k], expected[k].fact);
-        EXPECT_EQ(is_true[k], expected[k].vote == Vote::kTrue ? 1 : 0);
-      }
+      auto column = dataset.VotesBySource(s);
+      auto ids = column.ids();
+      ASSERT_TRUE(std::is_sorted(ids.begin(), ids.end())) << "source " << s;
+      ASSERT_EQ(std::adjacent_find(ids.begin(), ids.end()), ids.end());
+      ASSERT_EQ(matrix.SourceFacts(s).data(), ids.data()) << "source " << s;
+      ASSERT_EQ(matrix.SourceVotes(s).data(), column.votes().data());
+      EXPECT_EQ(cursor[static_cast<size_t>(s)], column.size())
+          << "source " << s;
+      csc_entries += static_cast<int64_t>(column.size());
     }
+    EXPECT_EQ(csr_entries, dataset.num_votes());
+    EXPECT_EQ(csc_entries, dataset.num_votes());
   });
 }
 
