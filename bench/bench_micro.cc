@@ -2,6 +2,9 @@
 // scoring, ΔH evaluation, fixpoint iterations, Gibbs sweeps, and the
 // dedup text kernels.
 
+#include <map>
+#include <utility>
+
 #include <benchmark/benchmark.h>
 
 #include "common/budget.h"
@@ -28,17 +31,20 @@
 namespace corrob {
 namespace {
 
-const SyntheticDataset& SharedSynthetic(int64_t facts) {
-  static auto* cache = new std::map<int64_t, SyntheticDataset>();
-  auto it = cache->find(facts);
+const SyntheticDataset& SharedSynthetic(int64_t facts, int64_t sources = 10) {
+  static auto* cache =
+      new std::map<std::pair<int64_t, int64_t>, SyntheticDataset>();
+  auto it = cache->find({facts, sources});
   if (it == cache->end()) {
     SyntheticOptions options;
     options.num_facts = static_cast<int32_t>(facts);
-    options.num_sources = 10;
+    options.num_sources = static_cast<int32_t>(sources);
     options.num_inaccurate = 2;
     options.eta = 0.02;
     options.seed = 77;
-    it = cache->emplace(facts, GenerateSynthetic(options).ValueOrDie())
+    it = cache
+             ->emplace(std::make_pair(facts, sources),
+                       GenerateSynthetic(options).ValueOrDie())
              .first;
   }
   return it->second;
@@ -69,10 +75,11 @@ BENCHMARK(BM_CorrobScore);
 void BM_EntropyDelta(benchmark::State& state) {
   const SyntheticDataset& data = SharedSynthetic(state.range(0));
   IncrementalEngine engine(data.dataset, IncEstimateOptions{});
+  EntropyScratch scratch;
   int32_t g = 0;
   int32_t num_groups = static_cast<int32_t>(engine.groups().size());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.EntropyDelta(g));
+    benchmark::DoNotOptimize(engine.EntropyDelta(g, &scratch));
     g = (g + 1) % num_groups;
   }
   state.SetItemsProcessed(state.iterations());
@@ -189,15 +196,27 @@ void BM_DatasetBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_DatasetBuild)->Arg(10000)->Arg(100000);
 
+// IncEstHeu end to end over a fact axis at 10 sources, and over a
+// source axis (6 / 10 / 16) at 5000 facts: the ΔH scan's cost grows
+// with the number of distinct vote signatures, which grows with the
+// source count.
 void BM_IncEstHeuFull(benchmark::State& state) {
-  const SyntheticDataset& data = SharedSynthetic(state.range(0));
+  const SyntheticDataset& data =
+      SharedSynthetic(state.range(0), state.range(1));
   IncEstimateCorroborator inc_est;
   for (auto _ : state) {
     benchmark::DoNotOptimize(inc_est.Run(data.dataset).ValueOrDie());
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_IncEstHeuFull)->Arg(1000)->Arg(10000);
+BENCHMARK(BM_IncEstHeuFull)
+    ->ArgNames({"facts", "sources"})
+    ->Args({1000, 10})
+    ->Args({10000, 10})
+    ->Args({5000, 6})
+    ->Args({5000, 10})
+    ->Args({5000, 16})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_BayesGibbsSweeps(benchmark::State& state) {
   const SyntheticDataset& data = SharedSynthetic(5000);

@@ -1,8 +1,9 @@
 // Append throughput of the vote-delta WAL (data/wal.h) at each fsync
-// policy, recorded as BENCH_wal.json (schema corrob.wal_bench/1, not
-// the shared corrob.bench/1 — rows here are records/s per policy, not
-// method timings). The three arms bound the durability/throughput
-// trade an operator picks with corrobd --wal-fsync:
+// policy, recorded as BENCH_wal.json (the shared corrob.bench/1
+// report: one row per policy, with `records` and `records_per_sec`
+// beside the row's `seconds`). The three arms bound the
+// durability/throughput trade an operator picks with corrobd
+// --wal-fsync:
 //   always    one fsync per record: the ack-means-durable ceiling
 //   interval  one fsync per --fsync-interval records
 //   never     OS page cache only; a crash loses the unsynced tail
@@ -85,7 +86,6 @@ int main(int argc, char** argv) {
   const int64_t interval = flags.GetInt("fsync-interval", 64);
   const std::string dir =
       flags.GetString("dir", "/tmp/corrob_bench_wal_append");
-  const std::string json_path = flags.GetString("json", "BENCH_wal.json");
 
   corrob::bench::PrintHeader(
       "WAL append throughput",
@@ -93,15 +93,10 @@ int main(int argc, char** argv) {
       "policy (corrobd --wal-fsync). 'always' is the ack-means-durable "
       "ceiling; 'never' is the page-cache upper bound.");
 
-  corrob::obs::JsonValue root = corrob::obs::JsonValue::Object();
-  root.Set("schema", corrob::obs::JsonValue::Str("corrob.wal_bench/1"));
-  root.Set("bench", corrob::obs::JsonValue::Str("wal_append"));
-  corrob::obs::JsonValue config = corrob::obs::JsonValue::Object();
-  config.Set("records", corrob::obs::JsonValue::Int(records));
-  config.Set("always_records", corrob::obs::JsonValue::Int(always_records));
-  config.Set("fsync_interval", corrob::obs::JsonValue::Int(interval));
-  root.Set("config", std::move(config));
-  corrob::obs::JsonValue rows = corrob::obs::JsonValue::Array();
+  corrob::bench::BenchReport report("wal", flags);
+  report.SetConfig("records", records);
+  report.SetConfig("always_records", always_records);
+  report.SetConfig("fsync_interval", interval);
 
   corrob::TablePrinter table({"Policy", "Records", "Seconds", "Records/s"});
   const struct {
@@ -122,27 +117,16 @@ int main(int argc, char** argv) {
     }
     const double rate =
         seconds > 0.0 ? static_cast<double>(arm.records) / seconds : 0.0;
-    corrob::obs::JsonValue row = corrob::obs::JsonValue::Object();
-    row.Set("policy", corrob::obs::JsonValue::Str(name));
+    corrob::obs::JsonValue row =
+        corrob::bench::BenchReport::Row(name, seconds);
     row.Set("records", corrob::obs::JsonValue::Int(arm.records));
-    row.Set("seconds", corrob::obs::JsonValue::Double(seconds));
     row.Set("records_per_sec", corrob::obs::JsonValue::Double(rate));
-    rows.Append(std::move(row));
+    report.AddRow(std::move(row));
     table.AddRow({name, std::to_string(arm.records),
                   corrob::FormatDouble(seconds, 4),
                   corrob::FormatDouble(rate, 1)});
   }
-  root.Set("rows", std::move(rows));
   std::fputs(table.ToString().c_str(), stdout);
-
-  if (json_path.empty() || json_path == "none") return ok ? 0 : 1;
-  const corrob::Status written =
-      corrob::WriteStringToFile(json_path, root.Dump(2) + "\n");
-  if (!written.ok()) {
-    std::fprintf(stderr, "bench_wal_append: %s\n",
-                 written.ToString().c_str());
-    return 1;
-  }
-  std::printf("wrote %s\n", json_path.c_str());
+  report.Write();
   return ok ? 0 : 1;
 }

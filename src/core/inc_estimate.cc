@@ -1,8 +1,10 @@
 #include "core/inc_estimate.h"
 
 #include <algorithm>
+#include <iterator>
 #include <limits>
 #include <memory>
+#include <optional>
 
 #include "common/logging.h"
 #include "common/math_util.h"
@@ -28,24 +30,6 @@ std::string RenderSignature(const Dataset& dataset,
   return out;
 }
 
-const char* RoundKindName(IncRoundInfo::Kind kind) {
-  switch (kind) {
-    case IncRoundInfo::Kind::kBalanced:
-      return "balanced";
-    case IncRoundInfo::Kind::kGreedy:
-      return "greedy";
-    case IncRoundInfo::Kind::kOneSidedPositive:
-      return "one_sided_positive";
-    case IncRoundInfo::Kind::kOneSidedNegative:
-      return "one_sided_negative";
-    case IncRoundInfo::Kind::kFinalTies:
-      return "final_ties";
-    case IncRoundInfo::Kind::kInterrupted:
-      return "interrupted";
-  }
-  return "?";
-}
-
 }  // namespace
 
 IncrementalEngine::IncrementalEngine(const Dataset& dataset,
@@ -62,7 +46,6 @@ IncrementalEngine::IncrementalEngine(const Dataset& dataset,
       group_of_fact_(static_cast<size_t>(dataset.num_facts()), -1),
       fact_round_(static_cast<size_t>(dataset.num_facts()), -1),
       remaining_facts_(dataset.num_facts()) {
-  scratch_.visit_stamp.assign(groups_.size(), -1);
   for (size_t g = 0; g < groups_.size(); ++g) {
     for (FactId f : groups_[g].facts) {
       group_of_fact_[static_cast<size_t>(f)] = static_cast<int32_t>(g);
@@ -92,10 +75,6 @@ bool IncrementalEngine::ComputeGroupProbabilities(
                        stop);
 }
 
-double IncrementalEngine::EntropyDelta(int32_t g) const {
-  return EntropyDelta(g, &scratch_);
-}
-
 double IncrementalEngine::EntropyDelta(int32_t g,
                                        EntropyScratch* scratch) const {
   const FactGroup& group = groups_[static_cast<size_t>(g)];
@@ -108,15 +87,12 @@ double IncrementalEngine::EntropyDelta(int32_t g,
 
   // Tentative trust for the sources in the candidate's signature,
   // under the same smoothed Eq. 8 update EndRound applies.
-  const double w = options_.trust_prior_weight;
   scratch->projected = trust_;
   for (const SourceVote& sv : group.signature) {
     size_t s = static_cast<size_t>(sv.source);
     bool vote_correct = (sv.vote == Vote::kTrue) == decision;
-    double new_total = total_[s] + committed + w;
-    double new_correct = correct_[s] + (vote_correct ? committed : 0.0) +
-                         w * options_.initial_trust;
-    scratch->projected[s] = new_correct / new_total;
+    scratch->projected[s] = SmoothedTrust(
+        correct_[s] + (vote_correct ? committed : 0.0), total_[s] + committed);
   }
 
   // Sum entropy changes over the other active groups that share a
@@ -212,12 +188,8 @@ int64_t IncrementalEngine::CommitAllRemaining() {
 }
 
 void IncrementalEngine::EndRound(int64_t facts_committed) {
-  const double w = options_.trust_prior_weight;
   for (size_t s = 0; s < trust_.size(); ++s) {
-    if (total_[s] > 0.0) {
-      trust_[s] =
-          (correct_[s] + w * options_.initial_trust) / (total_[s] + w);
-    }
+    if (total_[s] > 0.0) trust_[s] = SmoothedTrust(correct_[s], total_[s]);
   }
   ++rounds_;
   if (options_.record_trajectory) {
@@ -238,10 +210,69 @@ CorroborationResult IncrementalEngine::Finish(std::string algorithm_name) && {
   return result;
 }
 
-int32_t IncEstimateCorroborator::PickBestGroup(
-    const IncrementalEngine& engine, const std::vector<int32_t>& part,
-    bool is_positive, const std::vector<double>& group_probs,
-    ThreadPool* pool, const StopSignal* stop, double* best_delta_out) const {
+
+namespace {
+
+/// The kinds of IncEstimate time point, recorded as IncRoundEvent::kind.
+enum class RoundKind {
+  kSupervised,        ///< t0: the known labels, before any selection
+  kBalanced,          ///< n facts from one positive and one negative group
+  kGreedy,            ///< IncEstPS: the highest-probability group
+  kOneSidedPositive,  ///< negative part empty: the best positive group
+  kOneSidedNegative,  ///< positive part empty: the best negative group
+  kFinalTies,         ///< only max-entropy ties left: threshold commit
+  kInterrupted,       ///< budget/cancel stop: remaining facts projected
+};
+
+/// IncRoundEvent::kind of each RoundKind, in enum order.
+constexpr const char* kRoundKindNames[] = {
+    "supervised",         "balanced",   "greedy",     "one_sided_positive",
+    "one_sided_negative", "final_ties", "interrupted"};
+
+static_assert(std::size(kRoundKindNames) ==
+              static_cast<size_t>(RoundKind::kInterrupted) + 1);
+
+/// RoundPlan::n of a wholesale round: every remaining fact of every
+/// group.
+constexpr int64_t kAllRemaining = -1;
+
+/// What one time point decided; Run's commit step carries it out.
+struct RoundPlan {
+  RoundKind kind = RoundKind::kBalanced;
+  /// Selected group per side, -1 when the side selects nothing.
+  int32_t positive_group = -1;
+  int32_t negative_group = -1;
+  /// Facts to commit from each selected group, or kAllRemaining.
+  int64_t n = kAllRemaining;
+  /// Telemetry readouts: how many groups each part held, and the
+  /// selected groups' ΔH.
+  int64_t part_positive = 0;
+  int64_t part_negative = 0;
+  double delta_h_positive = 0.0;
+  double delta_h_negative = 0.0;
+};
+
+/// Remaining facts of group `g`; 0 when `g` is -1 (no group).
+int64_t Remaining(const IncrementalEngine& engine, int32_t g) {
+  return g < 0 ? 0
+               : static_cast<int64_t>(
+                     engine.groups()[static_cast<size_t>(g)].remaining());
+}
+
+/// Returns the part's group with the highest ΔH among the
+/// extreme-band candidates (see IncEstimateOptions::extreme_band) and
+/// writes its ΔH to `*delta_h`. `group_probs` holds the round's σ(FG)
+/// of every group; the ΔH candidates are evaluated across `pool`
+/// (inline when null) with per-chunk scratch and the argmax folds in
+/// fixed candidate order. When `stop` fires mid-scan the partial
+/// deltas are discarded and -1 is returned; the caller must abandon
+/// the round.
+int32_t PickBestGroup(const IncrementalEngine& engine,
+                      const IncEstimateOptions& options,
+                      const std::vector<int32_t>& part, bool is_positive,
+                      const std::vector<double>& group_probs,
+                      ThreadPool* pool, const StopSignal* stop,
+                      double* delta_h) {
   CORROB_TRACE_SPAN("IncEstimate::PickBestGroup");
   // Confidence-first filter: keep only groups within extreme_band of
   // the part's most extreme probability, so ΔH chooses among the most
@@ -255,25 +286,25 @@ int32_t IncEstimateCorroborator::PickBestGroup(
   std::vector<int32_t> candidates;
   for (int32_t g : part) {
     double p = group_probs[static_cast<size_t>(g)];
-    if (is_positive ? p >= extreme - options_.extreme_band
-                    : p <= extreme + options_.extreme_band) {
+    if (is_positive ? p >= extreme - options.extreme_band
+                    : p <= extreme + options.extreme_band) {
       candidates.push_back(g);
     }
   }
   // Candidate capping for large group counts: rank by remaining size
   // (descending, ties by index) and keep the top slice; the exact ΔH
   // then decides among candidates.
-  if (options_.max_candidate_groups > 0 &&
-      static_cast<int>(candidates.size()) > options_.max_candidate_groups) {
+  if (options.max_candidate_groups > 0 &&
+      static_cast<int>(candidates.size()) > options.max_candidate_groups) {
     std::partial_sort(
-        candidates.begin(), candidates.begin() + options_.max_candidate_groups,
+        candidates.begin(), candidates.begin() + options.max_candidate_groups,
         candidates.end(), [&](int32_t a, int32_t b) {
           size_t ra = engine.groups()[static_cast<size_t>(a)].remaining();
           size_t rb = engine.groups()[static_cast<size_t>(b)].remaining();
           if (ra != rb) return ra > rb;
           return a < b;
         });
-    candidates.resize(static_cast<size_t>(options_.max_candidate_groups));
+    candidates.resize(static_cast<size_t>(options.max_candidate_groups));
   }
   // ΔH scan: candidates evaluate independently (per-chunk scratch),
   // and the argmax folds sequentially in candidate order afterwards —
@@ -308,9 +339,155 @@ int32_t IncEstimateCorroborator::PickBestGroup(
       best = candidates[i];
     }
   }
-  if (best_delta_out != nullptr) *best_delta_out = best_delta;
+  *delta_h = best_delta;
   return best;
 }
+
+/// Decides one selection round from the round's σ(FG) snapshot
+/// `group_probs`: IncEstPS's greedy pick, or one IncEstHeu round
+/// (Algorithm 2) — balanced, one-sided or final ties. `fact_cap` is
+/// the budget's max_facts_per_round (0 = uncapped). Returns nullopt
+/// when `stop` fires mid-scan.
+std::optional<RoundPlan> PlanRound(const IncrementalEngine& engine,
+                                   const IncEstimateOptions& options,
+                                   const std::vector<double>& group_probs,
+                                   int64_t fact_cap, ThreadPool* pool,
+                                   const StopSignal* stop) {
+  const std::vector<FactGroup>& groups = engine.groups();
+  const int32_t num_groups = static_cast<int32_t>(groups.size());
+  // max_facts_per_round caps what one *selection* round may commit
+  // (always letting at least one fact through so rounds make
+  // progress); terminal wholesale commits are exempt.
+  auto capped = [fact_cap](int64_t n) {
+    return fact_cap > 0 ? std::max<int64_t>(1, std::min(n, fact_cap)) : n;
+  };
+  RoundPlan plan;
+
+  if (options.strategy == IncSelectStrategy::kProbability) {
+    // IncEstPS: the group with the highest projected probability.
+    double best_p = -1.0;
+    for (int32_t g = 0; g < num_groups; ++g) {
+      if (Remaining(engine, g) == 0) continue;
+      double p = group_probs[static_cast<size_t>(g)];
+      if (p > best_p) {
+        best_p = p;
+        plan.positive_group = g;
+      }
+    }
+    CORROB_CHECK(plan.positive_group >= 0);
+    plan.kind = RoundKind::kGreedy;
+    plan.n = capped(Remaining(engine, plan.positive_group));
+    return plan;
+  }
+
+  // IncEstHeu (Algorithm 2): positive part (probability above 0.5)
+  // and negative part (below 0.5); groups at or near 0.5 carry
+  // maximum entropy and no reliable decision direction, so they
+  // belong to neither part and are deferred until a trust update
+  // moves them out of the band (see tie_margin).
+  std::vector<int32_t> positive;
+  std::vector<int32_t> negative;
+  for (int32_t g = 0; g < num_groups; ++g) {
+    const FactGroup& group = groups[static_cast<size_t>(g)];
+    if (group.remaining() == 0) continue;
+    double p = group_probs[static_cast<size_t>(g)];
+    if (p > kDecisionThreshold + options.tie_margin) {
+      // Optional quarantine (ablation knob): hold back positive
+      // groups containing a currently negative source, so a
+      // positive commit cannot rehabilitate it mid-discovery. In
+      // practice the concurrent rehabilitation matches the paper's
+      // Figure 2(b) recovery and evaluates better on both workloads
+      // (see bench_ablation), so the default leaves this off.
+      bool has_suspect_voter = false;
+      if (options.quarantine_suspect_groups) {
+        for (const SourceVote& sv : group.signature) {
+          if (engine.trust()[static_cast<size_t>(sv.source)] <
+              kDecisionThreshold) {
+            has_suspect_voter = true;
+            break;
+          }
+        }
+      }
+      if (!has_suspect_voter) positive.push_back(g);
+    } else if (p < kDecisionThreshold) {
+      // A negative commit marks every T voter wrong. With an
+      // explicit F vote in the signature that is corroborated
+      // dissent; without one it is justified only when no
+      // *evidence-based* positive source vouches for the fact (in
+      // the §2.3 walkthrough, r5 commits false while s1's 0.9 is
+      // still the unevaluated default). Otherwise one distrusted
+      // co-voter would drag facts endorsed by known-good sources
+      // into the negative part and the collapse would cascade.
+      bool has_f_vote = false;
+      bool trusted_backer = false;
+      for (const SourceVote& sv : group.signature) {
+        if (sv.vote == Vote::kFalse) {
+          has_f_vote = true;
+        } else if (engine.SourceEvaluated(sv.source) &&
+                   engine.trust()[static_cast<size_t>(sv.source)] >
+                       kDecisionThreshold) {
+          trusted_backer = true;
+        }
+      }
+      if (has_f_vote || !trusted_backer) negative.push_back(g);
+    }
+  }
+  plan.part_positive = static_cast<int64_t>(positive.size());
+  plan.part_negative = static_cast<int64_t>(negative.size());
+
+  if (positive.empty() && negative.empty()) {
+    // Only maximum-entropy groups remain; no further trust update
+    // can be extracted. Commit them all at the Eq. 2 threshold.
+    plan.kind = RoundKind::kFinalTies;
+    return plan;
+  }
+  if (positive.empty() || negative.empty()) {
+    // §5.1 special case: every committable fact is projected to the
+    // same side. Stay incremental: evaluate the side's best group
+    // in full at this time point ("aggressively selects all
+    // listings that are projected to be corrupt", §2.3), then
+    // re-partition — the trust update may move deferred groups
+    // into a part or revive the other side.
+    const bool is_negative = positive.empty();
+    double delta_h = 0.0;
+    const int32_t best =
+        PickBestGroup(engine, options, is_negative ? negative : positive,
+                      !is_negative, group_probs, pool, stop, &delta_h);
+    if (best < 0) return std::nullopt;
+    if (is_negative) {
+      plan.kind = RoundKind::kOneSidedNegative;
+      plan.negative_group = best;
+      plan.delta_h_negative = delta_h;
+    } else {
+      plan.kind = RoundKind::kOneSidedPositive;
+      plan.positive_group = best;
+      plan.delta_h_positive = delta_h;
+    }
+    plan.n = capped(Remaining(engine, best));
+    return plan;
+  }
+
+  // The paper's balanced commit: n = min(|FG+|, |FG-|) facts from
+  // each side.
+  plan.kind = RoundKind::kBalanced;
+  plan.positive_group = PickBestGroup(engine, options, positive, true,
+                                      group_probs, pool, stop,
+                                      &plan.delta_h_positive);
+  if (plan.positive_group < 0) return std::nullopt;
+  plan.negative_group = PickBestGroup(engine, options, negative, false,
+                                      group_probs, pool, stop,
+                                      &plan.delta_h_negative);
+  if (plan.negative_group < 0) return std::nullopt;
+  plan.n = std::min(Remaining(engine, plan.positive_group),
+                    Remaining(engine, plan.negative_group));
+  // The per-round cap splits across the two commits.
+  if (fact_cap > 0) {
+    plan.n = std::min(plan.n, std::max<int64_t>(1, fact_cap / 2));
+  }
+  return plan;
+}
+
+}  // namespace
 
 Result<CorroborationResult> IncEstimateCorroborator::Run(
     const Dataset& dataset, const RunContext& context) const {
@@ -336,52 +513,77 @@ Result<CorroborationResult> IncEstimateCorroborator::Run(
 
   CORROB_TRACE_SPAN("IncEstimate::Run");
   IncrementalEngine engine(dataset, options_);
-  const int32_t num_groups = static_cast<int32_t>(engine.groups().size());
+  const std::vector<FactGroup>& groups = engine.groups();
   std::unique_ptr<ThreadPool> pool = MakeSweepPool(options_.num_threads);
   // σ(FG) of every group, refreshed once per round; the selection
-  // logic below reads only this snapshot, never live probabilities.
+  // logic reads only this snapshot, never live probabilities.
   std::vector<double> group_probs;
   auto telemetry =
       MaybeStartTelemetry(options_.collect_telemetry, name(), dataset);
-
   int round = 0;
-  // Telemetry: one event per time point, pushed after EndRound so the
-  // recorded trust distribution is the post-round σ_i(S).
-  auto record_round = [&](obs::IncRoundEvent event) {
-    if (telemetry == nullptr) return;
+
+  // The one commit step of every time point: commit what `plan`
+  // decided, update σ_i(S) once (EndRound), and — with telemetry on
+  // only — record the round with the post-round trust distribution.
+  auto commit_round = [&](const RoundPlan& plan) -> Status {
+    const int64_t fg_positive = Remaining(engine, plan.positive_group);
+    const int64_t fg_negative = Remaining(engine, plan.negative_group);
+    int64_t committed = 0;
+    if (plan.kind == RoundKind::kSupervised) {
+      for (const auto& [fact, label] : options_.known_labels) {
+        CORROB_RETURN_NOT_OK(engine.CommitKnownFact(fact, label));
+      }
+      committed = static_cast<int64_t>(options_.known_labels.size());
+    } else if (plan.n == kAllRemaining) {
+      committed = engine.CommitAllRemaining();
+    } else {
+      for (int32_t g : {plan.positive_group, plan.negative_group}) {
+        if (g >= 0) committed += engine.CommitGroup(g, plan.n);
+      }
+    }
+    CORROB_CHECK(committed > 0);
+    engine.EndRound(committed);
+    if (telemetry == nullptr) return Status::OK();
+
+    obs::IncRoundEvent event;
     event.round = round;
+    event.kind = kRoundKindNames[static_cast<size_t>(plan.kind)];
+    event.positive_group = plan.positive_group;
+    event.negative_group = plan.negative_group;
+    if (plan.positive_group >= 0) {
+      const auto g = static_cast<size_t>(plan.positive_group);
+      event.positive_signature = RenderSignature(dataset, groups[g].signature);
+      event.prob_positive = group_probs[g];
+    }
+    if (plan.negative_group >= 0) {
+      const auto g = static_cast<size_t>(plan.negative_group);
+      event.negative_signature = RenderSignature(dataset, groups[g].signature);
+      event.prob_negative = group_probs[g];
+    }
+    event.fg_positive = fg_positive;
+    event.fg_negative = fg_negative;
+    event.part_positive = plan.part_positive;
+    event.part_negative = plan.part_negative;
+    event.delta_h_positive = plan.delta_h_positive;
+    event.delta_h_negative = plan.delta_h_negative;
+    // Balanced rounds record the paper's per-side n, so the
+    // n = min(|FG+|, |FG-|) invariant is checkable; every other kind
+    // records its whole commit.
+    event.committed_n = plan.kind == RoundKind::kBalanced ? plan.n : committed;
+    event.facts_committed = committed;
     obs::TrustDistribution(engine.trust(), &event.trust_min,
                            &event.trust_mean, &event.trust_max);
     telemetry->rounds.push_back(std::move(event));
+    return Status::OK();
   };
 
   // Supervision: seed the trust state with the known labels as time
   // point t0, before any selection round.
   if (!options_.known_labels.empty()) {
-    for (const auto& [fact, label] : options_.known_labels) {
-      CORROB_RETURN_NOT_OK(engine.CommitKnownFact(fact, label));
-    }
-    const int64_t committed =
-        static_cast<int64_t>(options_.known_labels.size());
-    engine.EndRound(committed);
-    obs::IncRoundEvent event;
-    event.kind = "supervised";
-    event.committed_n = committed;
-    event.facts_committed = committed;
-    record_round(std::move(event));
+    RoundPlan supervised;
+    supervised.kind = RoundKind::kSupervised;
+    CORROB_RETURN_NOT_OK(commit_round(supervised));
   }
-
-  auto notify = [&](IncRoundInfo::Kind kind, int32_t pos_group,
-                    int32_t neg_group, int64_t committed) {
-    if (!options_.round_observer) return;
-    IncRoundInfo info;
-    info.round = round;
-    info.kind = kind;
-    info.positive_group = pos_group;
-    info.negative_group = neg_group;
-    info.facts_committed = committed;
-    options_.round_observer(info);
-  };
 
   // Interruption support: boundary checks fire between rounds (with
   // `round` completed selection rounds behind us, so a run cancelled
@@ -394,241 +596,24 @@ Result<CorroborationResult> IncEstimateCorroborator::Run(
   const StopSignal* stop = context.sweep_stop();
   Termination termination = Termination::kConverged;
   bool mid_round = false;
-  // max_facts_per_round caps what one *selection* round may commit
-  // (always letting at least one fact through so rounds make
-  // progress); terminal wholesale commits are exempt.
-  const int64_t fact_cap = context.budget().max_facts_per_round;
-  auto capped = [fact_cap](int64_t n) {
-    return fact_cap > 0 ? std::max<int64_t>(1, std::min(n, fact_cap)) : n;
-  };
-
   while (engine.remaining_facts() > 0) {
     if (auto interrupt = context.CheckIterationBoundary(round)) {
       termination = *interrupt;
       break;
     }
     ++round;
-    if (!engine.ComputeGroupProbabilities(pool.get(), &group_probs, stop)) {
+    std::optional<RoundPlan> plan;
+    if (engine.ComputeGroupProbabilities(pool.get(), &group_probs, stop)) {
+      plan = PlanRound(engine, options_, group_probs,
+                       context.budget().max_facts_per_round, pool.get(),
+                       stop);
+    }
+    if (!plan) {
       termination = context.SweepInterruption();
       mid_round = true;
       break;
     }
-    if (options_.strategy == IncSelectStrategy::kProbability) {
-      // IncEstPS: the group with the highest projected probability.
-      int32_t best = -1;
-      double best_p = -1.0;
-      for (int32_t g = 0; g < num_groups; ++g) {
-        if (engine.groups()[static_cast<size_t>(g)].remaining() == 0) continue;
-        double p = group_probs[static_cast<size_t>(g)];
-        if (p > best_p) {
-          best_p = p;
-          best = g;
-        }
-      }
-      CORROB_CHECK(best >= 0);
-      const int64_t best_remaining = static_cast<int64_t>(
-          engine.groups()[static_cast<size_t>(best)].remaining());
-      obs::IncRoundEvent event;
-      if (telemetry != nullptr) {
-        event.kind = RoundKindName(IncRoundInfo::Kind::kGreedy);
-        event.positive_group = best;
-        event.positive_signature = RenderSignature(
-            dataset, engine.groups()[static_cast<size_t>(best)].signature);
-        event.fg_positive = best_remaining;
-        event.prob_positive = best_p;
-      }
-      int64_t committed = engine.CommitGroup(best, capped(best_remaining));
-      engine.EndRound(committed);
-      if (telemetry != nullptr) {
-        event.committed_n = committed;
-        event.facts_committed = committed;
-        record_round(std::move(event));
-      }
-      notify(IncRoundInfo::Kind::kGreedy, best, -1, committed);
-      continue;
-    }
-
-    // IncEstHeu (Algorithm 2): positive part (probability above 0.5)
-    // and negative part (below 0.5); groups at or near 0.5 carry
-    // maximum entropy and no reliable decision direction, so they
-    // belong to neither part and are deferred until a trust update
-    // moves them out of the band (see tie_margin).
-    std::vector<int32_t> positive;
-    std::vector<int32_t> negative;
-    for (int32_t g = 0; g < num_groups; ++g) {
-      const FactGroup& group = engine.groups()[static_cast<size_t>(g)];
-      if (group.remaining() == 0) continue;
-      double p = group_probs[static_cast<size_t>(g)];
-      if (p > kDecisionThreshold + options_.tie_margin) {
-        // Optional quarantine (ablation knob): hold back positive
-        // groups containing a currently negative source, so a
-        // positive commit cannot rehabilitate it mid-discovery. In
-        // practice the concurrent rehabilitation matches the paper's
-        // Figure 2(b) recovery and evaluates better on both workloads
-        // (see bench_ablation), so the default leaves this off.
-        bool has_suspect_voter = false;
-        if (options_.quarantine_suspect_groups) {
-          for (const SourceVote& sv : group.signature) {
-            if (engine.trust()[static_cast<size_t>(sv.source)] <
-                kDecisionThreshold) {
-              has_suspect_voter = true;
-              break;
-            }
-          }
-        }
-        if (!has_suspect_voter) positive.push_back(g);
-      } else if (p < kDecisionThreshold) {
-        // A negative commit marks every T voter wrong. With an
-        // explicit F vote in the signature that is corroborated
-        // dissent; without one it is justified only when no
-        // *evidence-based* positive source vouches for the fact (in
-        // the §2.3 walkthrough, r5 commits false while s1's 0.9 is
-        // still the unevaluated default). Otherwise one distrusted
-        // co-voter would drag facts endorsed by known-good sources
-        // into the negative part and the collapse would cascade.
-        bool has_f_vote = false;
-        bool trusted_backer = false;
-        for (const SourceVote& sv : group.signature) {
-          if (sv.vote == Vote::kFalse) {
-            has_f_vote = true;
-          } else if (engine.SourceEvaluated(sv.source) &&
-                     engine.trust()[static_cast<size_t>(sv.source)] >
-                         kDecisionThreshold) {
-            trusted_backer = true;
-          }
-        }
-        if (has_f_vote || !trusted_backer) negative.push_back(g);
-      }
-    }
-
-    if (positive.empty() && negative.empty()) {
-      // Only maximum-entropy groups remain; no further trust update
-      // can be extracted. Commit them all at the Eq. 2 threshold.
-      int64_t committed = engine.CommitAllRemaining();
-      engine.EndRound(committed);
-      if (telemetry != nullptr) {
-        obs::IncRoundEvent event;
-        event.kind = RoundKindName(IncRoundInfo::Kind::kFinalTies);
-        event.committed_n = committed;
-        event.facts_committed = committed;
-        record_round(std::move(event));
-      }
-      notify(IncRoundInfo::Kind::kFinalTies, -1, -1, committed);
-      break;
-    }
-    if (positive.empty() || negative.empty()) {
-      // §5.1 special case: every committable fact is projected to the
-      // same side. Stay incremental: evaluate the side's best group
-      // in full at this time point ("aggressively selects all
-      // listings that are projected to be corrupt", §2.3), then
-      // re-partition — the trust update may move deferred groups
-      // into a part or revive the other side.
-      bool is_negative = positive.empty();
-      double best_delta = 0.0;
-      int32_t best =
-          is_negative ? PickBestGroup(engine, negative, false, group_probs,
-                                      pool.get(), stop, &best_delta)
-                      : PickBestGroup(engine, positive, true, group_probs,
-                                      pool.get(), stop, &best_delta);
-      if (best < 0) {
-        termination = context.SweepInterruption();
-        mid_round = true;
-        break;
-      }
-      const int64_t best_remaining = static_cast<int64_t>(
-          engine.groups()[static_cast<size_t>(best)].remaining());
-      obs::IncRoundEvent event;
-      if (telemetry != nullptr) {
-        event.kind = RoundKindName(is_negative
-                                       ? IncRoundInfo::Kind::kOneSidedNegative
-                                       : IncRoundInfo::Kind::kOneSidedPositive);
-        event.part_positive = static_cast<int64_t>(positive.size());
-        event.part_negative = static_cast<int64_t>(negative.size());
-        const std::string signature = RenderSignature(
-            dataset, engine.groups()[static_cast<size_t>(best)].signature);
-        const double prob = group_probs[static_cast<size_t>(best)];
-        if (is_negative) {
-          event.negative_group = best;
-          event.negative_signature = signature;
-          event.fg_negative = best_remaining;
-          event.prob_negative = prob;
-          event.delta_h_negative = best_delta;
-        } else {
-          event.positive_group = best;
-          event.positive_signature = signature;
-          event.fg_positive = best_remaining;
-          event.prob_positive = prob;
-          event.delta_h_positive = best_delta;
-        }
-      }
-      int64_t committed = engine.CommitGroup(best, capped(best_remaining));
-      CORROB_CHECK(committed > 0);
-      engine.EndRound(committed);
-      if (telemetry != nullptr) {
-        event.committed_n = committed;
-        event.facts_committed = committed;
-        record_round(std::move(event));
-      }
-      notify(is_negative ? IncRoundInfo::Kind::kOneSidedNegative
-                         : IncRoundInfo::Kind::kOneSidedPositive,
-             is_negative ? -1 : best, is_negative ? best : -1, committed);
-      continue;
-    }
-
-    double delta_positive = 0.0;
-    double delta_negative = 0.0;
-    int32_t best_positive = PickBestGroup(engine, positive, true, group_probs,
-                                          pool.get(), stop, &delta_positive);
-    int32_t best_negative =
-        best_positive < 0 ? -1
-                          : PickBestGroup(engine, negative, false, group_probs,
-                                          pool.get(), stop, &delta_negative);
-    if (best_positive < 0 || best_negative < 0) {
-      termination = context.SweepInterruption();
-      mid_round = true;
-      break;
-    }
-    int64_t n = static_cast<int64_t>(std::min(
-        engine.groups()[static_cast<size_t>(best_positive)].remaining(),
-        engine.groups()[static_cast<size_t>(best_negative)].remaining()));
-    // Balanced rounds commit n facts per side, so the per-round cap
-    // splits across the two commits.
-    if (fact_cap > 0) n = std::min(n, std::max<int64_t>(1, fact_cap / 2));
-    obs::IncRoundEvent event;
-    if (telemetry != nullptr) {
-      // The paper's balanced commit: n = min(|FG+|, |FG-|) facts from
-      // each side, recorded so the invariant is directly checkable.
-      event.kind = RoundKindName(IncRoundInfo::Kind::kBalanced);
-      event.positive_group = best_positive;
-      event.negative_group = best_negative;
-      event.positive_signature = RenderSignature(
-          dataset,
-          engine.groups()[static_cast<size_t>(best_positive)].signature);
-      event.negative_signature = RenderSignature(
-          dataset,
-          engine.groups()[static_cast<size_t>(best_negative)].signature);
-      event.fg_positive = static_cast<int64_t>(
-          engine.groups()[static_cast<size_t>(best_positive)].remaining());
-      event.fg_negative = static_cast<int64_t>(
-          engine.groups()[static_cast<size_t>(best_negative)].remaining());
-      event.part_positive = static_cast<int64_t>(positive.size());
-      event.part_negative = static_cast<int64_t>(negative.size());
-      event.prob_positive = group_probs[static_cast<size_t>(best_positive)];
-      event.prob_negative = group_probs[static_cast<size_t>(best_negative)];
-      event.delta_h_positive = delta_positive;
-      event.delta_h_negative = delta_negative;
-      event.committed_n = n;
-    }
-    int64_t committed = engine.CommitGroup(best_positive, n) +
-                        engine.CommitGroup(best_negative, n);
-    CORROB_CHECK(committed > 0);
-    engine.EndRound(committed);
-    if (telemetry != nullptr) {
-      event.facts_committed = committed;
-      record_round(std::move(event));
-    }
-    notify(IncRoundInfo::Kind::kBalanced, best_positive, best_negative,
-           committed);
+    CORROB_RETURN_NOT_OK(commit_round(*plan));
   }
 
   if (TerminatedEarly(termination) && engine.remaining_facts() > 0) {
@@ -639,16 +624,9 @@ Result<CorroborationResult> IncEstimateCorroborator::Run(
     // abandoned in-flight round (if any) becomes the projection's
     // time point; a boundary interrupt opens a fresh one.
     if (!mid_round) ++round;
-    int64_t committed = engine.CommitAllRemaining();
-    engine.EndRound(committed);
-    if (telemetry != nullptr) {
-      obs::IncRoundEvent event;
-      event.kind = RoundKindName(IncRoundInfo::Kind::kInterrupted);
-      event.committed_n = committed;
-      event.facts_committed = committed;
-      record_round(std::move(event));
-    }
-    notify(IncRoundInfo::Kind::kInterrupted, -1, -1, committed);
+    RoundPlan tail;
+    tail.kind = RoundKind::kInterrupted;
+    CORROB_RETURN_NOT_OK(commit_round(tail));
   }
 
   CorroborationResult result = std::move(engine).Finish(std::string(name()));

@@ -2,7 +2,6 @@
 #define CORROB_CORE_INC_ESTIMATE_H_
 
 #include <cstdint>
-#include <functional>
 #include <utility>
 #include <vector>
 
@@ -19,26 +18,6 @@ enum class IncSelectStrategy {
   /// IncEstPS: greedily commits the group with the highest projected
   /// probability each round.
   kProbability,
-};
-
-/// What one IncEstimate round did — emitted through
-/// IncEstimateOptions::round_observer for debugging and the Figure 2
-/// trajectory tooling.
-struct IncRoundInfo {
-  enum class Kind {
-    kBalanced,          ///< one positive + one negative group
-    kGreedy,            ///< IncEstPS: single highest-probability group
-    kOneSidedPositive,  ///< negative part empty: whole positive part
-    kOneSidedNegative,  ///< positive part empty: whole negative part
-    kFinalTies,         ///< only max-entropy ties left: threshold commit
-    kInterrupted,       ///< budget/cancel stop: remaining facts projected
-  };
-  int round = 0;
-  Kind kind = Kind::kBalanced;
-  /// Selected groups for balanced/greedy rounds (-1 otherwise).
-  int32_t positive_group = -1;
-  int32_t negative_group = -1;
-  int64_t facts_committed = 0;
 };
 
 struct IncEstimateOptions {
@@ -99,9 +78,6 @@ struct IncEstimateOptions {
   /// When true, CorroborationResult::trajectory records σ_i(S) per
   /// time point (Figure 2).
   bool record_trajectory = false;
-  /// Optional per-round callback, invoked after the round's trust
-  /// update. Intended for tracing and tests; must not mutate the run.
-  std::function<void(const IncRoundInfo&)> round_observer;
   /// Supervision: facts whose labels are already known (e.g. a
   /// hand-checked golden subset). They are committed at time point
   /// t0 with σ(f) = 0/1 before any selection round, so the very
@@ -163,12 +139,8 @@ class IncrementalEngine {
 
   /// ΔH(F̄) score of committing all remaining facts of group `g`: the
   /// total entropy change over the other active groups (paper Eq. 9).
-  /// Uses the engine's own scratch; single-threaded callers only.
-  double EntropyDelta(int32_t g) const;
-
-  /// Re-entrant variant for parallel ΔH scans: all mutable state
-  /// lives in `scratch`, so distinct scratches may evaluate distinct
-  /// groups concurrently. Bit-identical to EntropyDelta(g).
+  /// All mutable state lives in the caller's `scratch`, so distinct
+  /// scratches may evaluate distinct groups concurrently.
   double EntropyDelta(int32_t g, EntropyScratch* scratch) const;
 
   /// σ(FG) of every group (committed ones included) under the current
@@ -211,7 +183,12 @@ class IncrementalEngine {
   CorroborationResult Finish(std::string algorithm_name) &&;
 
  private:
-  friend class IncEstimateCorroborator;
+  /// The smoothed Eq. 8 update σ(s) = (correct + w·σ0) / (total + w),
+  /// shared by EndRound and EntropyDelta's projection.
+  double SmoothedTrust(double correct, double total) const {
+    const double w = options_.trust_prior_weight;
+    return (correct + w * options_.initial_trust) / (total + w);
+  }
 
   const Dataset& dataset_;
   IncEstimateOptions options_;
@@ -226,8 +203,6 @@ class IncrementalEngine {
   int64_t remaining_facts_ = 0;
   int rounds_ = 0;
   std::vector<TrajectoryPoint> trajectory_;
-  // Scratch for the single-threaded EntropyDelta overload.
-  mutable EntropyScratch scratch_;
 };
 
 /// IncEstimate (paper Algorithm 1) with a pluggable selection
@@ -248,21 +223,6 @@ class IncEstimateCorroborator final : public Corroborator {
   const IncEstimateOptions& options() const { return options_; }
 
  private:
-  /// Returns the part's group with the highest ΔH among the
-  /// extreme-band candidates (see IncEstimateOptions::extreme_band).
-  /// `group_probs` holds the precomputed σ(FG) of every group; the ΔH
-  /// candidates are evaluated across `pool` (inline when null) with
-  /// per-chunk scratch and the argmax folds in fixed candidate order.
-  /// When `best_delta_out` is non-null it receives the winner's ΔH
-  /// (telemetry readout; does not affect the pick). When `stop` fires
-  /// mid-scan the partial deltas are discarded and -1 is returned;
-  /// the caller must abandon the round.
-  int32_t PickBestGroup(const IncrementalEngine& engine,
-                        const std::vector<int32_t>& part, bool is_positive,
-                        const std::vector<double>& group_probs,
-                        ThreadPool* pool, const StopSignal* stop = nullptr,
-                        double* best_delta_out = nullptr) const;
-
   IncEstimateOptions options_;
 };
 

@@ -36,8 +36,9 @@ TEST(EngineDeltaHTest, R12BeatsR6InRoundOne) {
   // more than committing the r6 tie group.
   MotivatingExample example = MakeMotivatingExample();
   IncrementalEngine engine(example.dataset, PaperExact());
-  double delta_r12 = engine.EntropyDelta(GroupOf(engine, 11));
-  double delta_r6 = engine.EntropyDelta(GroupOf(engine, 5));
+  EntropyScratch scratch;
+  double delta_r12 = engine.EntropyDelta(GroupOf(engine, 11), &scratch);
+  double delta_r6 = engine.EntropyDelta(GroupOf(engine, 5), &scratch);
   EXPECT_GT(delta_r12, delta_r6);
   EXPECT_GT(delta_r12, 1.0);  // Large positive entropy gain.
 }
@@ -47,12 +48,14 @@ TEST(EngineDeltaHTest, PositivePartValuesAreNegativeAtRoundOne) {
   // toward 1 and reduces the entropy of the co-voted groups.
   MotivatingExample example = MakeMotivatingExample();
   IncrementalEngine engine(example.dataset, PaperExact());
+  EntropyScratch scratch;
   for (FactId f : {0, 1, 2, 8}) {  // r1, r2, r3, r9
-    EXPECT_LT(engine.EntropyDelta(GroupOf(engine, f)), 0.0) << "r" << (f + 1);
+    EXPECT_LT(engine.EntropyDelta(GroupOf(engine, f), &scratch), 0.0)
+        << "r" << (f + 1);
   }
   // The 4-voter r2 group disturbs more groups than the 2-voter r9.
-  EXPECT_LT(engine.EntropyDelta(GroupOf(engine, 1)),
-            engine.EntropyDelta(GroupOf(engine, 8)));
+  EXPECT_LT(engine.EntropyDelta(GroupOf(engine, 1), &scratch),
+            engine.EntropyDelta(GroupOf(engine, 8), &scratch));
 }
 
 TEST(EngineDeltaHTest, IsolatedGroupHasZeroDelta) {
@@ -74,8 +77,9 @@ TEST(EngineDeltaHTest, IsolatedGroupHasZeroDelta) {
   Dataset d = builder.Build();
 
   IncrementalEngine engine(d, PaperExact());
-  EXPECT_DOUBLE_EQ(engine.EntropyDelta(GroupOf(engine, c)), 0.0);
-  EXPECT_NE(engine.EntropyDelta(GroupOf(engine, a)), 0.0);
+  EntropyScratch scratch;
+  EXPECT_DOUBLE_EQ(engine.EntropyDelta(GroupOf(engine, c), &scratch), 0.0);
+  EXPECT_NE(engine.EntropyDelta(GroupOf(engine, a), &scratch), 0.0);
 }
 
 TEST(EngineDeltaHTest, ExhaustedGroupHasZeroDelta) {
@@ -84,7 +88,8 @@ TEST(EngineDeltaHTest, ExhaustedGroupHasZeroDelta) {
   int32_t g = GroupOf(engine, 8);  // r9, singleton
   engine.CommitGroup(g, 1);
   engine.EndRound(1);
-  EXPECT_DOUBLE_EQ(engine.EntropyDelta(g), 0.0);
+  EntropyScratch scratch;
+  EXPECT_DOUBLE_EQ(engine.EntropyDelta(g, &scratch), 0.0);
 }
 
 TEST(EngineCommitTest, PartialCommitKeepsRemainder) {

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Schema checker for the observability JSON artifacts.
 
-Validates any mix of the four JSON artifact kinds the toolchain emits,
+Validates any mix of the JSON artifact kinds the toolchain emits,
 autodetecting each file's kind:
 
   trace      Chrome trace_event JSON from --trace
@@ -10,12 +10,14 @@ autodetecting each file's kind:
              ({"counters", "gauges", "histograms"})
   telemetry  RunTelemetry JSON from --telemetry
              ({"schema": "corrob.telemetry/1", ...})
-  bench      BenchReport JSON from the bench binaries
+  stream_telemetry
+             `corrob stream --telemetry` counters
+             ({"schema": "corrob.stream_telemetry/1", ...})
+  bench      BenchReport JSON from the bench binaries, BENCH_wal.json
+             from bench_wal_append included
              ({"schema": "corrob.bench/1", ...})
   serving    BENCH_serving.json from corrob-loadgen
              ({"schema": "corrob.serving_bench/3", ...})
-  wal_bench  BENCH_wal.json from bench_wal_append
-             ({"schema": "corrob.wal_bench/1", ...})
   introspect live-introspection document from corrobd's 0x06 frame
              (e.g. `corrobctl requests --raw`)
              ({"schema": "corrob.introspect/1", ...})
@@ -114,7 +116,8 @@ def validate_metrics(doc):
 
 
 ROUND_KINDS = {"balanced", "greedy", "one_sided_positive",
-               "one_sided_negative", "final_ties", "supervised"}
+               "one_sided_negative", "final_ties", "supervised",
+               "interrupted"}
 
 
 def validate_telemetry(doc):
@@ -179,39 +182,6 @@ def validate_bench(doc):
                f"{where}: seconds must be a non-negative number")
     validate_metrics(doc["metrics"])
     return f"{doc['bench']}, {len(doc['rows'])} rows"
-
-
-def validate_wal_bench(doc):
-    expect_keys(doc, ["schema", "bench", "config", "rows"], "wal_bench")
-    expect(doc["schema"] == "corrob.wal_bench/1",
-           f"wal_bench: unknown schema '{doc.get('schema')}'")
-    expect(doc["bench"] == "wal_append",
-           f"wal_bench: unknown bench '{doc.get('bench')}'")
-    expect(isinstance(doc["config"], dict),
-           "wal_bench: config must be an object")
-    rows = doc["rows"]
-    expect(isinstance(rows, list) and rows,
-           "wal_bench: rows must be a non-empty array")
-    policies = []
-    for i, row in enumerate(rows):
-        where = f"wal_bench: rows[{i}]"
-        expect_keys(row, ["policy", "records", "seconds",
-                          "records_per_sec"], where)
-        expect(row["policy"] in ("always", "interval", "never"),
-               f"{where}: policy must be always|interval|never")
-        expect(isinstance(row["records"], int) and row["records"] > 0,
-               f"{where}: records must be a positive integer")
-        expect(is_number(row["seconds"]) and row["seconds"] >= 0,
-               f"{where}: seconds must be a non-negative number")
-        expect(is_number(row["records_per_sec"])
-               and row["records_per_sec"] >= 0,
-               f"{where}: records_per_sec must be a non-negative number")
-        policies.append(row["policy"])
-    expect(len(set(policies)) == len(policies),
-           "wal_bench: duplicate policy rows")
-    rates = ", ".join(f"{row['policy']}={row['records_per_sec']:.0f}/s"
-                      for row in rows)
-    return rates
 
 
 def validate_stream_telemetry(doc):
@@ -426,8 +396,6 @@ def detect_kind(doc):
         return "telemetry", validate_telemetry
     if schema == "corrob.bench/1":
         return "bench", validate_bench
-    if schema == "corrob.wal_bench/1":
-        return "wal_bench", validate_wal_bench
     if schema == "corrob.stream_telemetry/1":
         return "stream_telemetry", validate_stream_telemetry
     if schema == "corrob.serving_bench/3":
