@@ -162,19 +162,8 @@ Result<CorroborationResult> BayesEstimateCorroborator::Run(
     }
   }
   // Report source trust as precision against the decided labels.
-  result.source_trust.assign(sources, 0.0);
-  std::vector<bool> decisions = result.Decisions();
-  for (SourceId s = 0; s < dataset.num_sources(); ++s) {
-    auto votes = dataset.VotesBySource(s);
-    if (votes.empty()) continue;
-    double correct = 0.0;
-    for (const FactVote& fv : votes) {
-      bool voted_true = fv.vote == Vote::kTrue;
-      if (voted_true == decisions[static_cast<size_t>(fv.fact)]) correct += 1.0;
-    }
-    result.source_trust[static_cast<size_t>(s)] =
-        correct / static_cast<double>(votes.size());
-  }
+  result.source_trust =
+      TrustAgainstDecisions(dataset, result.Decisions(), /*no_vote_value=*/0.0);
   result.iterations = completed_sweeps;
   result.termination = termination;
   if (telemetry != nullptr) {

@@ -1,12 +1,10 @@
 #include "core/cosine.h"
 
-#include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "common/math_util.h"
-#include "core/telemetry_util.h"
 #include "core/vote_matrix.h"
-#include "obs/trace.h"
 
 namespace corrob {
 
@@ -18,134 +16,76 @@ Result<CorroborationResult> CosineCorroborator::Run(
   if (options_.trust_power <= 0.0) {
     return Status::InvalidArgument("trust_power must be positive");
   }
-  if (options_.max_iterations < 1) {
-    return Status::InvalidArgument("max_iterations must be >= 1");
-  }
-  if (options_.num_threads < 1) {
-    return Status::InvalidArgument("num_threads must be >= 1");
-  }
-  CORROB_RETURN_NOT_OK(ValidateResourceBudget(context.budget()));
-
-  CORROB_TRACE_SPAN("Cosine::Run");
-  const VoteMatrix matrix(dataset);
-  std::unique_ptr<ThreadPool> pool = MakeSweepPool(options_.num_threads);
-  const size_t facts = static_cast<size_t>(matrix.num_facts());
-  const size_t sources = static_cast<size_t>(matrix.num_sources());
+  const size_t facts = static_cast<size_t>(dataset.num_facts());
+  const size_t sources = static_cast<size_t>(dataset.num_sources());
   std::vector<double> trust(sources, options_.initial_trust);
   std::vector<double> value(facts, 0.0);  // V(f) in [-1, 1].
-  auto telemetry =
-      MaybeStartTelemetry(options_.collect_telemetry, name(), dataset);
-
   auto vote_sign = [](Vote vote) { return vote == Vote::kTrue ? 1.0 : -1.0; };
-  // `value` is rewritten in place by the truth sweep; snapshot it so a
-  // mid-sweep interruption hands back the last completed iteration.
-  const StopSignal* stop = context.sweep_stop();
-  std::vector<double> value_snapshot;
-
-  Termination termination = Termination::kIterationCap;
-  int iteration = 0;
-  const auto over_budget = context.CheckMatrixBytes(dataset.VoteBytes());
-  if (over_budget) termination = *over_budget;
-  for (; !over_budget && iteration < options_.max_iterations; ++iteration) {
-    if (auto interrupt = context.CheckIterationBoundary(iteration)) {
-      termination = *interrupt;
-      break;
-    }
-    if (stop != nullptr) value_snapshot = value;
+  auto step = [&](const FixpointSweeps& sweeps)
+      -> std::optional<std::vector<double>> {
+    const VoteMatrix& matrix = sweeps.matrix;
     // Truth update, weighted by T(s)^p (negative trust flips votes),
     // partitioned by fact.
-    bool complete = matrix.ForEachFact(
-        pool.get(),
-        [&](FactId f) {
-      auto voters = matrix.FactSources(f);
-      if (voters.empty()) {
-        value[static_cast<size_t>(f)] = 0.0;
-        return;
-      }
-      auto votes = matrix.FactVotes(f);
-      double numerator = 0.0;
-      double denominator = 0.0;
-      for (size_t k = 0; k < voters.size(); ++k) {
-        const double t = trust[static_cast<size_t>(voters[k])];
-        const double w = std::copysign(
-            std::pow(std::fabs(t), options_.trust_power), t);
-        numerator += vote_sign(votes[k]) * w;
-        denominator += std::fabs(w);
-      }
-      value[static_cast<size_t>(f)] =
-          denominator > 0.0 ? Clamp(numerator / denominator, -1.0, 1.0)
-                            : 0.0;
-        },
-        stop);
-
+    if (!sweeps.Facts([&](FactId f) {
+          auto voters = matrix.FactSources(f);
+          if (voters.empty()) {
+            value[static_cast<size_t>(f)] = 0.0;
+            return;
+          }
+          auto votes = matrix.FactVotes(f);
+          double numerator = 0.0;
+          double denominator = 0.0;
+          for (size_t k = 0; k < voters.size(); ++k) {
+            const double t = trust[static_cast<size_t>(voters[k])];
+            const double w = std::copysign(
+                std::pow(std::fabs(t), options_.trust_power), t);
+            numerator += vote_sign(votes[k]) * w;
+            denominator += std::fabs(w);
+          }
+          value[static_cast<size_t>(f)] =
+              denominator > 0.0 ? Clamp(numerator / denominator, -1.0, 1.0)
+                                : 0.0;
+        })) {
+      return std::nullopt;
+    }
     // Trust update: damped cosine similarity between the source's
     // vote vector and the current estimates, partitioned by source.
-    std::vector<double> next_trust;
-    if (complete) {
-      next_trust = trust;
-      complete = matrix.ForEachSource(
-          pool.get(),
-          [&](SourceId s) {
-      auto voted = matrix.SourceFacts(s);
-      if (voted.empty()) return;
-      auto votes = matrix.SourceVotes(s);
-      double dot = 0.0;
-      double value_norm_sq = 0.0;
-      for (size_t k = 0; k < voted.size(); ++k) {
-        const double v = value[static_cast<size_t>(voted[k])];
-        dot += vote_sign(votes[k]) * v;
-        value_norm_sq += v * v;
-      }
-      const double vote_norm = std::sqrt(static_cast<double>(voted.size()));
-      const double value_norm = std::sqrt(value_norm_sq);
-      const double cosine = (vote_norm > 0.0 && value_norm > 0.0)
-                                ? dot / (vote_norm * value_norm)
-                                : 0.0;
-      next_trust[static_cast<size_t>(s)] =
-          options_.damping * trust[static_cast<size_t>(s)] +
-          (1.0 - options_.damping) * cosine;
-          },
-          stop);
+    std::vector<double> next_trust = trust;
+    if (!sweeps.Sources([&](SourceId s) {
+          auto voted = matrix.SourceFacts(s);
+          if (voted.empty()) return;
+          auto votes = matrix.SourceVotes(s);
+          double dot = 0.0;
+          double value_norm_sq = 0.0;
+          for (size_t k = 0; k < voted.size(); ++k) {
+            const double v = value[static_cast<size_t>(voted[k])];
+            dot += vote_sign(votes[k]) * v;
+            value_norm_sq += v * v;
+          }
+          const double vote_norm =
+              std::sqrt(static_cast<double>(voted.size()));
+          const double value_norm = std::sqrt(value_norm_sq);
+          const double cosine = (vote_norm > 0.0 && value_norm > 0.0)
+                                    ? dot / (vote_norm * value_norm)
+                                    : 0.0;
+          next_trust[static_cast<size_t>(s)] =
+              options_.damping * trust[static_cast<size_t>(s)] +
+              (1.0 - options_.damping) * cosine;
+        })) {
+      return std::nullopt;
     }
-    if (!complete) {
-      // A sweep was cut short mid-iteration: restore the values of
-      // the last completed iteration; trust was not yet replaced.
-      value = std::move(value_snapshot);
-      termination = context.SweepInterruption();
-      break;
-    }
-    double max_change = 0.0;
-    for (size_t s = 0; s < sources; ++s) {
-      max_change = std::max(max_change, std::fabs(next_trust[s] - trust[s]));
-    }
-    trust = std::move(next_trust);
-    RecordIteration(telemetry.get(), iteration, max_change, trust);
-    if (max_change < options_.tolerance) {
-      termination = Termination::kConverged;
-      ++iteration;
-      break;
-    }
-  }
-
-  CorroborationResult result;
-  result.algorithm = std::string(name());
-  result.fact_probability.resize(facts);
-  for (size_t f = 0; f < facts; ++f) {
-    result.fact_probability[f] = (value[f] + 1.0) / 2.0;
-  }
-  // Report trust mapped into [0, 1] for comparability with the other
-  // methods (a perfectly anti-correlated source reads 0).
-  result.source_trust.resize(sources);
-  for (size_t s = 0; s < sources; ++s) {
-    result.source_trust[s] = (Clamp(trust[s], -1.0, 1.0) + 1.0) / 2.0;
-  }
-  result.iterations = iteration;
-  result.termination = termination;
-  if (telemetry != nullptr) {
-    telemetry->iterations = iteration;
-    telemetry->converged = termination == Termination::kConverged;
-    result.telemetry = std::move(telemetry);
-  }
+    return next_trust;
+  };
+  CORROB_ASSIGN_OR_RETURN(
+      CorroborationResult result,
+      RunFixpoint({"Cosine::Run", name(), options_.max_iterations,
+                   options_.tolerance, options_.num_threads,
+                   options_.collect_telemetry},
+                  dataset, context, &trust, &value, step));
+  // Report V(f) and trust mapped into [0, 1] for comparability with
+  // the other methods (a perfectly anti-correlated source reads 0).
+  for (double& p : result.fact_probability) p = (p + 1.0) / 2.0;
+  for (double& t : result.source_trust) t = (Clamp(t, -1.0, 1.0) + 1.0) / 2.0;
   return result;
 }
 

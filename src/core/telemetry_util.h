@@ -29,15 +29,13 @@ inline std::shared_ptr<obs::RunTelemetry> MaybeStartTelemetry(
 /// the iteration.
 inline void RecordIteration(obs::RunTelemetry* telemetry, int32_t iteration,
                             double max_delta,
-                            const std::vector<double>& trust,
-                            int64_t facts_committed = 0) {
+                            const std::vector<double>& trust) {
   if (telemetry == nullptr) return;
   obs::IterationStats stats;
   stats.iteration = iteration;
   stats.max_delta = max_delta;
   obs::TrustDistribution(trust, &stats.trust_min, &stats.trust_mean,
                          &stats.trust_max);
-  stats.facts_committed = facts_committed;
   telemetry->iteration_stats.push_back(stats);
 }
 

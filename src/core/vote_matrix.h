@@ -4,10 +4,15 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <span>
+#include <string_view>
 #include <vector>
 
+#include "common/result.h"
 #include "common/thread_pool.h"
+#include "core/corroborator.h"
+#include "core/run_context.h"
 #include "data/dataset.h"
 
 namespace corrob {
@@ -15,7 +20,7 @@ namespace corrob {
 /// Sweep helper for the iterative corroborators' hot loops (the
 /// trust-propagation sweeps of TwoEstimate, ThreeEstimate, TruthFinder
 /// and Cosine are sparse matrix-vector products over the Dataset's
-/// CSR/CSC).
+/// CSR/CSC, driven by RunFixpoint below).
 ///
 /// It owns nothing: construction is O(1) and allocates nothing, and
 /// the Dataset must outlive it. Its spans are the very arrays behind
@@ -76,9 +81,8 @@ class VoteMatrix {
   /// `stop` (optional) is polled at chunk boundaries; a fired signal
   /// skips the remaining chunks and the sweep returns false. The
   /// partial sweep's writes are then inconsistent — callers restore a
-  /// snapshot before exposing any state (see the iterative
-  /// corroborators' best-so-far handling). Returns true when the
-  /// sweep covered every id.
+  /// snapshot before exposing any state (RunFixpoint's rollback).
+  /// Returns true when the sweep covered every id.
   bool ForEachFact(ThreadPool* pool, const std::function<void(FactId)>& fn,
                    const StopSignal* stop = nullptr) const;
   bool ForEachSource(ThreadPool* pool,
@@ -93,6 +97,58 @@ class VoteMatrix {
 /// (the sequential legacy path), otherwise a pool with num_threads
 /// workers, created once per Run() and reused across iterations.
 std::unique_ptr<ThreadPool> MakeSweepPool(int num_threads);
+
+/// What one fixpoint step sweeps with: the vote matrix, the run's
+/// worker pool, and its stop signal (null when nothing is armed).
+struct FixpointSweeps {
+  const VoteMatrix& matrix;
+  ThreadPool* pool;
+  const StopSignal* stop;
+
+  bool Facts(const std::function<void(FactId)>& fn) const {
+    return matrix.ForEachFact(pool, fn, stop);
+  }
+  bool Sources(const std::function<void(SourceId)>& fn) const {
+    return matrix.ForEachSource(pool, fn, stop);
+  }
+};
+
+/// The loop settings of one fixpoint run; every fixpoint method's
+/// options carry the last four.
+struct FixpointLoop {
+  /// Trace span covering the run, e.g. "TwoEstimate::Run".
+  const char* span;
+  std::string_view algorithm;
+  int max_iterations;
+  double tolerance;
+  int num_threads;
+  bool collect_telemetry;
+};
+
+/// One iteration of a fixpoint method: runs its sweeps and returns
+/// the next source trust, or nullopt when a sweep was cut short.
+using FixpointStep = std::function<std::optional<std::vector<double>>(
+    const FixpointSweeps& sweeps)>;
+
+/// The two-step fixpoint that TwoEstimate, ThreeEstimate, TruthFinder
+/// and Cosine share: each iteration's `step` re-estimates the facts
+/// from `*trust` into `*estimate` and returns the re-estimated trust,
+/// until the L∞ trust change falls below `loop.tolerance` or
+/// `loop.max_iterations` pass.
+///
+/// RunFixpoint owns everything but the step: the max_iterations /
+/// num_threads and budget checks, the vote-byte cap, the boundary
+/// poll, telemetry, and the best-so-far rollback. When a stop signal
+/// is armed, `*estimate` is snapshotted before each iteration and
+/// restored when a sweep is cut short, so the result is always the
+/// last completed iteration's; trust is replaced only after a complete
+/// step, and any other per-step state ends with the run unread. On
+/// success `*estimate` and `*trust` are moved into the result's
+/// fact_probability and source_trust.
+[[nodiscard]] Result<CorroborationResult> RunFixpoint(
+    const FixpointLoop& loop, const Dataset& dataset,
+    const RunContext& context, std::vector<double>* trust,
+    std::vector<double>* estimate, const FixpointStep& step);
 
 }  // namespace corrob
 

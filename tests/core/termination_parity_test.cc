@@ -8,7 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <functional>
+#include <limits>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -109,6 +112,35 @@ RunContext RoundBudget(int64_t max_rounds) {
   return context;
 }
 
+/// A clock that ticks once per read, so Deadline::After(&clock, m)
+/// expires on exactly the m-th deadline poll after it is made — a
+/// poll-exact deadline that can land inside any sweep chunk.
+class PollCountingClock final : public obs::Clock {
+ public:
+  int64_t NowNanos() const override {
+    return reads_.fetch_add(1, std::memory_order_relaxed) + 1;
+  }
+  int64_t reads() const { return reads_.load(std::memory_order_relaxed); }
+
+ private:
+  mutable std::atomic<int64_t> reads_{0};
+};
+
+/// Runs `method` under a deadline that never expires; stores the
+/// number of deadline polls the run made in `*polls`.
+CorroborationResult RunCountingPolls(const Corroborator& method,
+                                     const Dataset& dataset,
+                                     int64_t* polls) {
+  PollCountingClock clock;
+  RunContext context;
+  context.WithDeadline(
+      Deadline::After(&clock, std::numeric_limits<int64_t>::max() / 2));
+  const int64_t before = clock.reads();
+  CorroborationResult result = method.Run(dataset, context).ValueOrDie();
+  *polls = clock.reads() - before;
+  return result;
+}
+
 class TerminationParityTest : public ::testing::Test {
  protected:
   void TearDown() override { Failpoints::DisarmAll(); }
@@ -145,6 +177,52 @@ TEST_F(TerminationParityTest, FixpointInterruptedAtKMatchesTruncatedRun) {
             EXPECT_EQ(cancelled.termination, Termination::kConverged);
             EXPECT_EQ(budgeted.termination, Termination::kConverged);
           }
+        }
+      });
+    }
+  }
+}
+
+TEST_F(TerminationParityTest, FixpointDeadlineAtEveryPollRollsBack) {
+  // A deadline that expires on the m-th poll, for every m an
+  // uninterrupted run reaches: the boundary polls stop between
+  // iterations, the chunk polls cut a sweep short and force the
+  // rollback to the last completed iteration. Either way the result
+  // must be bit-identical to a run capped at the iterations it
+  // reports.
+  for (const FixpointMethod& method : FixpointMethods()) {
+    if (!method.threaded) continue;  // the four sweep-based methods
+    for (int threads : {1, 4}) {
+      SCOPED_TRACE(method.name + " threads=" + std::to_string(threads));
+      auto full_method = method.make(100, threads);
+      ForEachSeed(0xDEAD11, 1, [&](uint64_t seed) {
+        Dataset dataset = MakeRandomDataset(seed);
+        // Many polls share an iteration count; run each cap once.
+        std::map<int, CorroborationResult> truncated;
+        int64_t polls = 0;
+        CorroborationResult uninterrupted =
+            RunCountingPolls(*full_method, dataset, &polls);
+        ASSERT_EQ(uninterrupted.termination, Termination::kConverged);
+        ASSERT_GT(polls, 0);
+        for (int64_t m = 1; m <= polls + 1; ++m) {
+          SCOPED_TRACE("m=" + std::to_string(m) + " of " +
+                       std::to_string(polls));
+          PollCountingClock clock;
+          RunContext context;
+          context.WithDeadline(Deadline::After(&clock, m));
+          CorroborationResult result =
+              full_method->Run(dataset, context).ValueOrDie();
+          EXPECT_EQ(result.termination, m <= polls
+                                            ? Termination::kDeadlineExceeded
+                                            : Termination::kConverged);
+          if (result.iterations < 1) continue;
+          auto [it, fresh] = truncated.try_emplace(result.iterations);
+          if (fresh) {
+            it->second = method.make(result.iterations, threads)
+                             ->Run(dataset)
+                             .ValueOrDie();
+          }
+          ExpectBitIdenticalBestSoFar(it->second, result);
         }
       });
     }
