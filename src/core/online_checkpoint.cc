@@ -149,12 +149,12 @@ Result<OnlineCorroborator> ParseOnlineSnapshot(std::string_view bytes) {
         "); load it with the corrob build that wrote it, or restart "
         "the stream without --resume");
   }
-  if (version < kOnlineSnapshotMinVersion) {
+  if (version < kOnlineSnapshotVersion) {
     return Status::FailedPrecondition(
         "snapshot version " + std::to_string(version) +
-        " is older than this build supports (supported " +
-        std::to_string(kOnlineSnapshotMinVersion) + ".." +
-        std::to_string(kOnlineSnapshotVersion) + ")");
+        " is older than this build supports (version " +
+        std::to_string(kOnlineSnapshotVersion) +
+        " only); restart the stream without --resume");
   }
   CORROB_ASSIGN_OR_RETURN(uint64_t payload_size, header.ReadU64());
   if (bytes.size() != kHeaderSize + payload_size + 4) {
@@ -195,14 +195,12 @@ Result<OnlineCorroborator> ParseOnlineSnapshot(std::string_view bytes) {
     state.correct.push_back(correct);
     state.total.push_back(total);
   }
-  if (version >= 2) {
-    CORROB_ASSIGN_OR_RETURN(uint64_t decisions_true, reader.ReadU64());
-    CORROB_ASSIGN_OR_RETURN(uint64_t decisions_false, reader.ReadU64());
-    CORROB_ASSIGN_OR_RETURN(uint64_t deferrals, reader.ReadU64());
-    state.decisions_true = static_cast<int64_t>(decisions_true);
-    state.decisions_false = static_cast<int64_t>(decisions_false);
-    state.deferrals = static_cast<int64_t>(deferrals);
-  }
+  CORROB_ASSIGN_OR_RETURN(uint64_t decisions_true, reader.ReadU64());
+  CORROB_ASSIGN_OR_RETURN(uint64_t decisions_false, reader.ReadU64());
+  CORROB_ASSIGN_OR_RETURN(uint64_t deferrals, reader.ReadU64());
+  state.decisions_true = static_cast<int64_t>(decisions_true);
+  state.decisions_false = static_cast<int64_t>(decisions_false);
+  state.deferrals = static_cast<int64_t>(deferrals);
   if (reader.remaining() != 0) {
     return Status::ParseError("snapshot payload has " +
                               std::to_string(reader.remaining()) +

@@ -11,17 +11,15 @@
 
 namespace corrob {
 
-/// Version of the snapshot wire format produced by this build.
+/// Version of the snapshot wire format produced by this build, and
+/// the only one ParseOnlineSnapshot accepts.
 /// History:
 ///   v1 — options, facts_observed, per-source correct/total counters.
+///        No longer readable.
 ///   v2 — appends the telemetry counters (decisions_true,
 ///        decisions_false, deferrals) so a resumed stream's running
 ///        stats stay continuous with the original run.
 inline constexpr uint32_t kOnlineSnapshotVersion = 2;
-
-/// Oldest snapshot version ParseOnlineSnapshot still accepts. v1
-/// snapshots restore with zeroed telemetry counters.
-inline constexpr uint32_t kOnlineSnapshotMinVersion = 1;
 
 /// Serializes the full state of `online` into the snapshot format:
 ///
@@ -29,17 +27,16 @@ inline constexpr uint32_t kOnlineSnapshotMinVersion = 1;
 ///   | payload | crc32(payload) u32            (all little-endian)
 ///
 /// The payload stores the options, facts_observed, the exact
-/// correct/total counters per source as raw IEEE-754 bits, and (v2)
-/// the telemetry counters, so a restored corroborator continues the
+/// correct/total counters per source as raw IEEE-754 bits, and the
+/// telemetry counters, so a restored corroborator continues the
 /// trust trajectory bit-identical to one that never stopped.
 std::string SerializeOnlineSnapshot(const OnlineCorroborator& online);
 
 /// Decodes a snapshot. Distinct failures get distinct codes:
 ///  - ParseError: not a snapshot, truncated, trailing garbage, or
 ///    checksum mismatch (i.e. corruption);
-///  - FailedPrecondition: a well-formed snapshot of an unsupported
-///    version (outside [kOnlineSnapshotMinVersion,
-///    kOnlineSnapshotVersion]);
+///  - FailedPrecondition: a well-formed snapshot of any version other
+///    than kOnlineSnapshotVersion;
 ///  - InvalidArgument: a checksummed payload with inconsistent state
 ///    (via OnlineCorroborator::FromState).
 [[nodiscard]] Result<OnlineCorroborator> ParseOnlineSnapshot(std::string_view bytes);

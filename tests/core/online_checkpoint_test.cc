@@ -188,12 +188,11 @@ void AppendF64(std::string* out, double value) {
   AppendU64(out, bits);
 }
 
-TEST(OnlineCheckpointTest, ParsesV1SnapshotsWithZeroedCounters) {
-  // A v1 snapshot (pre-telemetry format: no counter section) must
-  // still load; the counters start over at zero but the trust state
-  // restores bit-identically.
-  OnlineCorroborator online = MakeBusyCorroborator();
-  OnlineCorroboratorState state = online.ExportState();
+TEST(OnlineCheckpointTest, RejectsV1SnapshotAsTooOld) {
+  // A well-formed v1 snapshot (pre-telemetry format: no counter
+  // section, valid CRC) is a version this build no longer reads: a
+  // kFailedPrecondition naming the version, not a parse error.
+  OnlineCorroboratorState state = MakeBusyCorroborator().ExportState();
 
   std::string payload;
   AppendF64(&payload, state.options.initial_trust);
@@ -209,20 +208,16 @@ TEST(OnlineCheckpointTest, ParsesV1SnapshotsWithZeroedCounters) {
     AppendF64(&payload, state.total[s]);
   }
   std::string snapshot = "CORROBSN";
-  AppendU32(&snapshot, 1);  // kOnlineSnapshotMinVersion
+  AppendU32(&snapshot, 1);
   AppendU64(&snapshot, payload.size());
   snapshot += payload;
   AppendU32(&snapshot, ComputeCrc32(payload));
 
-  auto restored = ParseOnlineSnapshot(snapshot).ValueOrDie();
-  OnlineCorroboratorState rs = restored.ExportState();
-  EXPECT_EQ(rs.correct, state.correct);
-  EXPECT_EQ(rs.total, state.total);
-  EXPECT_EQ(rs.facts_observed, state.facts_observed);
-  EXPECT_EQ(restored.decisions_true(), 0);
-  EXPECT_EQ(restored.decisions_false(), 0);
-  EXPECT_EQ(restored.deferrals(), 0);
-  EXPECT_EQ(restored.trust_snapshot(), online.trust_snapshot());
+  auto result = ParseOnlineSnapshot(snapshot);
+  EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
+  const std::string message(result.status().message());
+  EXPECT_NE(message.find("version 1"), std::string::npos);
+  EXPECT_NE(message.find("older"), std::string::npos);
 }
 
 TEST(OnlineCheckpointTest, RejectsInconsistentCounters) {
@@ -269,7 +264,7 @@ TEST(OnlineCheckpointTest, RejectsPrehistoricVersionAsTooOld) {
   std::string snapshot =
       SerializeOnlineSnapshot(MakeBusyCorroborator());
   std::string ancient = snapshot;
-  ancient[8] = static_cast<char>(kOnlineSnapshotMinVersion - 1);
+  ancient[8] = 0;
   auto result = ParseOnlineSnapshot(ancient);
   EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
   EXPECT_NE(std::string(result.status().message()).find("older"),

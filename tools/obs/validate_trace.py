@@ -16,8 +16,6 @@ autodetecting each file's kind:
   bench      BenchReport JSON from the bench binaries, BENCH_wal.json
              from bench_wal_append included
              ({"schema": "corrob.bench/1", ...})
-  serving    BENCH_serving.json from corrob-loadgen
-             ({"schema": "corrob.serving_bench/3", ...})
   introspect live-introspection document from corrobd's 0x06 frame
              (e.g. `corrobctl requests --raw`)
              ({"schema": "corrob.introspect/1", ...})
@@ -199,80 +197,6 @@ def validate_stream_telemetry(doc):
     return f"{doc['facts_observed']} facts observed"
 
 
-def validate_serving_bench(doc):
-    expect_keys(doc, ["schema", "config", "levels", "totals"],
-                "serving_bench")
-    config = doc["config"]
-    expect_keys(config, ["socket", "dataset", "algorithm", "priority",
-                         "connections", "duration_ms", "unique_keys",
-                         "tenants"], "serving_bench: config")
-    expect(config["priority"] in ("interactive", "batch", "best_effort"),
-           f"serving_bench: unknown priority '{config.get('priority')}'")
-    expect(isinstance(config["unique_keys"], int)
-           and config["unique_keys"] >= 0,
-           "serving_bench: config.unique_keys must be a "
-           "non-negative integer")
-    expect(isinstance(config["tenants"], list)
-           and all(isinstance(t, str) for t in config["tenants"]),
-           "serving_bench: config.tenants must be an array of strings")
-    levels = doc["levels"]
-    expect(isinstance(levels, list) and levels,
-           "serving_bench: levels must be a non-empty array")
-    number_keys = ["offered_qps", "achieved_qps", "shed_rate", "p50_ms",
-                   "p90_ms", "p99_ms", "p999_ms", "hit_rate", "cold_p50_ms",
-                   "hit_p50_ms", "corr_client_p50_ms", "corr_server_p50_ms"]
-    int_keys = ["requests", "results", "shed", "errors", "quota", "aborted",
-                "dropped", "corr_count"]
-    counted_responses = 0
-    counted_dropped = 0
-    for i, level in enumerate(levels):
-        where = f"serving_bench: levels[{i}]"
-        expect_keys(level, number_keys + int_keys, where)
-        for key in number_keys:
-            expect(is_number(level[key]) and level[key] >= 0,
-                   f"{where}: {key} must be a non-negative number")
-        for key in int_keys:
-            expect(isinstance(level[key], int) and level[key] >= 0,
-                   f"{where}: {key} must be a non-negative integer")
-        # The transport delta is client p50 minus server p50 over the
-        # joined sample set: legitimately negative when the two
-        # independent medians land on different requests.
-        expect_keys(level, ["corr_transport_delta_p50_ms"], where)
-        expect(is_number(level["corr_transport_delta_p50_ms"]),
-               f"{where}: corr_transport_delta_p50_ms must be a number")
-        expect(level["p50_ms"] <= level["p90_ms"] <= level["p99_ms"]
-               <= level["p999_ms"],
-               f"{where}: percentiles must be non-decreasing "
-               "(p50 <= p90 <= p99 <= p999)")
-        expect(level["corr_count"] <= level["results"],
-               f"{where}: corr_count cannot exceed results")
-        answered = (level["results"] + level["shed"] + level["errors"]
-                    + level["quota"])
-        accounted = answered + level["aborted"] + level["dropped"]
-        expect(accounted == level["requests"],
-               f"{where}: outcome counts sum to {accounted}, "
-               f"requests says {level['requests']}")
-        expect(0.0 <= level["shed_rate"] <= 1.0,
-               f"{where}: shed_rate must be in [0, 1]")
-        expect(0.0 <= level["hit_rate"] <= 1.0,
-               f"{where}: hit_rate must be in [0, 1]")
-        counted_responses += answered
-        counted_dropped += level["dropped"]
-    totals = doc["totals"]
-    expect_keys(totals, ["responses_received", "dropped"],
-                "serving_bench: totals")
-    expect(totals["responses_received"] == counted_responses,
-           f"serving_bench: totals.responses_received "
-           f"{totals['responses_received']} != per-level sum "
-           f"{counted_responses}")
-    expect(totals["dropped"] == counted_dropped,
-           f"serving_bench: totals.dropped {totals['dropped']} != "
-           f"per-level sum {counted_dropped}")
-    return (f"{len(levels)} levels, "
-            f"{totals['responses_received']} responses, "
-            f"{totals['dropped']} dropped")
-
-
 REQUEST_ROLES = {"cold", "cache_hit", "leader", "follower", "promoted",
                  "rejected"}
 
@@ -398,8 +322,6 @@ def detect_kind(doc):
         return "bench", validate_bench
     if schema == "corrob.stream_telemetry/1":
         return "stream_telemetry", validate_stream_telemetry
-    if schema == "corrob.serving_bench/3":
-        return "serving_bench", validate_serving_bench
     if schema == "corrob.introspect/1":
         return "introspect", validate_introspect
     if "traceEvents" in doc:
